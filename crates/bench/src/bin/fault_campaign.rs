@@ -79,7 +79,11 @@ fn run() {
             let mut ber_curve = vec![(0.0, clean.accuracy)];
             for preset in &presets {
                 let Some(spec) = resilience::apply(&clean_spec, preset) else { continue };
-                hybrid.set_head(bench.first_layer(&spec));
+                // Faulted heads of both designs must run in the count
+                // domain, the old-sc MUX trees included.
+                let engine = spec.stochastic_conv(bench.base.conv1()).expect("faulted engine");
+                assert!(engine.uses_count_table(), "faulted {design} engine left the LUT path");
+                hybrid.set_head(Box::new(engine));
                 let eval = hybrid.evaluate(&bench.test, 64).expect("faulted evaluation");
                 let degraded = clean.correct.saturating_sub(eval.correct) as u64;
                 if scnn_obs::metrics_enabled() {
@@ -108,8 +112,8 @@ fn run() {
 
             // The degradation curve must trend down in BER — the graceful-
             // degradation claim the campaign exists to guard. Only the
-            // proposed (TFF) row is gated: the MUX row's streaming noise
-            // floor is too close to its clean accuracy at smoke sizes.
+            // proposed (TFF) row is gated: the MUX row's noise floor is
+            // too close to its clean accuracy at smoke sizes.
             let monotone = resilience::curve_is_monotone(&ber_curve, MONOTONE_SLACK);
             if design == "this-work" {
                 assert!(

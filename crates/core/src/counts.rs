@@ -1,25 +1,29 @@
 //! The shared count-domain engine core, generic over the lane word.
 //!
-//! Every TFF-adder datapath in this workspace consumes bit streams only
-//! through `count(a ∧ b)` — the closed form of the TFF adder
-//! ([`scnn_sim::TffAdder::add_count`]) makes the whole tree a pure function
-//! of its leaf 1-counts. That one observation powers three engines:
+//! Every adder-tree datapath in this workspace consumes bit streams only
+//! through `count(a ∧ b [∧ mask])`. The closed form of the TFF adder
+//! ([`scnn_sim::TffAdder::add_count`]) makes a TFF tree a pure function of
+//! its leaf 1-counts. A MUX tree with fixed select streams routes every
+//! clock to exactly one leaf, so its output count is the plain sum of the
+//! leaf counts masked by each leaf's route. That one observation powers
+//! every engine:
 //!
 //! * [`LevelCountTable`] — the level-indexed AND-count LUT. A comparator
 //!   SNG's output is a deterministic function of its input level, so
 //!   against a fixed source sequence a stream takes at most `2^b + 1`
 //!   distinct patterns; pre-counting `count(stream(level) ∧ weight)` for
 //!   every (level, weight) pair turns a whole multiply-and-count datapath
-//!   into a table gather. Used by the convolution engine (PR 2) and the
+//!   into a table gather. Used by the convolution engine (TFF weights as
+//!   they are, MUX weights pre-masked with their leaf's route) and the
 //!   dense engine's unipolar mode (the same counting identity Hirtzlin
 //!   et al. apply to fully-connected SC layers).
-//! * [`LaneTree`] — folds one TFF adder tree for many output lanes at once
-//!   (all kernels of a conv window, all neurons of a dense layer),
-//!   bit-exact with [`scnn_sim::TffAdderTree::fold_counts`] per lane.
-//! * [`LevelStreamCache`] / [`ProductCache`] — stream-level dedup for the
-//!   paths that still need real bits (MUX adders, fault injection): one
-//!   comparator conversion per *distinct* level, and one AND product per
-//!   distinct (level, weight) pair.
+//! * [`LaneTree`] — reduces one adder tree for many output lanes at once
+//!   (all kernels of a conv window, all neurons of a dense layer):
+//!   [`fold`](LaneTree::fold) is bit-exact with
+//!   [`scnn_sim::TffAdderTree::fold_counts`] per lane, and
+//!   [`sum`](LaneTree::sum) is the MUX tree's lane-wise routed sum.
+//! * [`LevelStreamCache`] — stream-level dedup for the bit-level reference
+//!   paths: one comparator conversion per *distinct* level.
 //! * [`WindowCache`] — window memoization above the fold: a bounded,
 //!   sharded LRU keyed by the quantized window level pattern whose value
 //!   is the full per-kernel pos/neg root-count output, so a repeated
@@ -88,13 +92,6 @@ use std::sync::Mutex;
 /// Upper bound on AND-count table entries (`(2^b + 1) · taps · lanes`);
 /// configurations above it fall back to the streaming engines.
 pub const MAX_LUT_ENTRIES: usize = 1 << 24;
-
-/// Upper bound on [`ProductCache`] storage in packed `u64` words
-/// (`levels · weights · words-per-stream`, ≈ 32 MiB); above it the MUX
-/// streaming path recomputes products per window. A word (not slot)
-/// budget keeps the eager prefill bounded as the stream length grows:
-/// at 8-bit a full conv cache is ~0.8 M words, at 10-bit ~13 M.
-pub const MAX_PRODUCT_WORDS: usize = 1 << 22;
 
 /// Trees kept per word width in each thread's [`ScratchPool`]; checkouts
 /// beyond the cap simply allocate and are dropped on return.
@@ -576,7 +573,9 @@ impl AnyLevelCountTable {
     }
 }
 
-/// A multi-lane TFF adder tree folded in packed [`LaneWord`] lanes.
+/// A multi-lane adder tree reduced in packed [`LaneWord`] lanes: a TFF
+/// tree through [`fold`](Self::fold), a route-masked MUX tree through
+/// [`sum`](Self::sum).
 ///
 /// Holds the live tap rows (packed `lanes.div_ceil(W::LANES)` words per
 /// row) plus the fold scratch. Per node the lane op is
@@ -817,8 +816,31 @@ impl<W: LaneWord> LaneTree<W> {
         &self.root
     }
 
+    /// Sums the tap rows lane-wise into the root row — the count-domain
+    /// MUX adder tree. Fixed select streams route every clock to exactly
+    /// one leaf, so once each leaf count is masked by its leaf's route
+    /// (`count(pixel ∧ weight ∧ route)`) the tree's output count is the
+    /// plain sum of its leaf counts.
+    ///
+    /// Carry-safety: the routes of one tree partition its `N` clocks, so
+    /// one lane's leaf counts sum to at most `N ≤ 2¹⁴` — with or without
+    /// bit errors, because a faulted leaf count is still a true AND-count
+    /// under its route mask. Every partial sum stays below `2¹⁶`, so
+    /// [`LaneWord::lane_add`] never carries across a lane boundary.
+    pub fn sum(&mut self) -> &[W] {
+        let rw = self.row_words;
+        let (first, rest) = self.entry[..self.taps * rw].split_at(rw);
+        self.root.copy_from_slice(first);
+        for row in rest.chunks_exact(rw) {
+            for (r, &x) in self.root.iter_mut().zip(row) {
+                *r = r.lane_add(x);
+            }
+        }
+        &self.root
+    }
+
     /// The root count of logical lane `lane` from the last
-    /// [`fold`](Self::fold).
+    /// [`fold`](Self::fold) or [`sum`](Self::sum).
     ///
     /// # Panics
     ///
@@ -1134,88 +1156,6 @@ impl LevelStreamCache {
             self.cache[level] = Some(self.scratch.stream(0).to_vec());
         }
         self.cache[level].as_deref().expect("just filled")
-    }
-}
-
-/// Per-(level, weight) AND-product cache for the MUX streaming path.
-///
-/// The MUX adder tree genuinely needs bits (its output depends on which
-/// bits the selects sample), so the count table does not apply — but the
-/// AND products feeding the tree are still pure functions of
-/// (pixel level, weight stream). Repeated windows reuse the product and
-/// only the select sampling reruns (the ROADMAP perf idea from PR 2).
-///
-/// Fill lazily through [`product`](Self::product), or eagerly at engine
-/// construction (every level × weight once) and read through
-/// [`get`](Self::get) — the conv engine prefills so one cache serves
-/// every image of a dataset instead of being rebuilt per call.
-#[derive(Debug, Clone)]
-pub struct ProductCache {
-    weights: usize,
-    words: usize,
-    /// Flat `levels × weights × words` product storage — one allocation,
-    /// slot `level · weights + weight` at `[slot · words..]`, so adjacent
-    /// weights of one level read contiguously in the MUX hot loop.
-    data: Vec<u64>,
-    /// Per-slot fill flag for the lazy [`product`](Self::product) API.
-    filled: Vec<bool>,
-}
-
-impl ProductCache {
-    /// Whether a cache of `levels × weights` products over
-    /// `words_per_stream`-word streams fits the memory budget.
-    pub fn fits(levels: usize, weights: usize, words_per_stream: usize) -> bool {
-        levels.saturating_mul(weights).saturating_mul(words_per_stream) <= MAX_PRODUCT_WORDS
-    }
-
-    /// An empty cache for `levels` comparator levels over `weights` weight
-    /// streams of `words_per_stream` packed words each.
-    pub fn new(levels: usize, weights: usize, words_per_stream: usize) -> Self {
-        Self {
-            weights,
-            words: words_per_stream,
-            data: vec![0; levels * weights * words_per_stream],
-            filled: vec![false; levels * weights],
-        }
-    }
-
-    /// The packed AND product of a level-`level` pixel stream (`pixel`
-    /// words) and weight stream `weight_index` (`weight` words), computed
-    /// on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range or the word slices disagree
-    /// with the cache's words-per-stream.
-    pub fn product(
-        &mut self,
-        level: usize,
-        weight_index: usize,
-        pixel: &[u64],
-        weight: &[u64],
-    ) -> &[u64] {
-        debug_assert_eq!(pixel.len(), weight.len());
-        assert_eq!(pixel.len(), self.words, "stream word count mismatch");
-        let slot = level * self.weights + weight_index;
-        let dst = &mut self.data[slot * self.words..(slot + 1) * self.words];
-        if !self.filled[slot] {
-            for ((d, &a), &b) in dst.iter_mut().zip(pixel).zip(weight) {
-                *d = a & b;
-            }
-            self.filled[slot] = true;
-        }
-        dst
-    }
-
-    /// The cached product for (`level`, `weight_index`), or `None` when
-    /// that slot has not been filled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn get(&self, level: usize, weight_index: usize) -> Option<&[u64]> {
-        let slot = level * self.weights + weight_index;
-        self.filled[slot].then(|| &self.data[slot * self.words..(slot + 1) * self.words])
     }
 }
 
@@ -1862,6 +1802,31 @@ mod tests {
     }
 
     #[test]
+    fn lane_sum_matches_scalar_sum_per_lane_every_width() {
+        fn check<W: LaneWord>() {
+            let (taps, lanes) = (25, 9);
+            let mut tree = LaneTree::<W>::new(taps, lanes, S0Policy::Alternating, 64).unwrap();
+            let mut expect = vec![0u16; lanes];
+            for t in 0..taps {
+                let row = tree.tap_lanes_mut(t);
+                for (lane, sum) in expect.iter_mut().enumerate() {
+                    let c = ((t * 7 + lane * 3) % 11) as u16;
+                    row[lane / W::LANES].set_lane(lane % W::LANES, c);
+                    *sum += c;
+                }
+            }
+            tree.sum();
+            for (lane, &sum) in expect.iter().enumerate() {
+                assert_eq!(tree.root_lane(lane), sum, "width={} lane={lane}", W::WIDTH);
+            }
+        }
+        check::<u16>();
+        check::<u32>();
+        check::<u64>();
+        check::<u128>();
+    }
+
+    #[test]
     fn constructor_rejects_overflowing_leaf_counts() {
         // 14-bit streams (16384 counts) are the last fitting precision.
         assert!(LaneTree::<u16>::new(25, 4, S0Policy::Alternating, 1 << 14).is_ok());
@@ -2010,9 +1975,6 @@ mod tests {
         assert!(table_fits(256, 25, 32));
         assert!(!table_fits(40_000, 25, 32)); // 16-bit lanes overflow
         assert!(!table_fits(256, 1 << 12, 1 << 12)); // table too big
-        assert!(ProductCache::fits(257, 800, 4)); // 8-bit conv: ~0.8 M words
-        assert!(!ProductCache::fits(1025, 800, 16)); // 10-bit conv: ~13 M words
-        assert!(!ProductCache::fits(1 << 16, 1 << 16, 1));
     }
 
     #[test]
@@ -2172,19 +2134,6 @@ mod tests {
         assert!(WindowCache::new(0, 2, 1).is_err());
         assert!(WindowCache::new(4, 0, 1).is_err());
         assert!(WindowCache::new(4, 2, 0).is_err());
-    }
-
-    #[test]
-    fn product_cache_returns_the_and_product() {
-        let mut cache = ProductCache::new(4, 2, 2);
-        let pixel = [0b1100u64, 0b1010];
-        let weight = [0b1010u64, 0b0110];
-        let expect = [0b1000u64, 0b0010];
-        assert_eq!(cache.product(2, 1, &pixel, &weight), &expect);
-        // Cached: returns the same product even for different inputs (the
-        // caller guarantees the key identifies the content).
-        assert_eq!(cache.product(2, 1, &[0, 0], &[0, 0]), &expect);
-        assert_eq!(cache.product(0, 0, &[0, 0], &[0, 0]), &[0u64, 0]);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! exactly as `count(flipped_stream ∧ weight)`: the LUT path is
 //! statistically indistinguishable from the streaming reference
 //! (property-tested moments), it just draws a different deterministic
-//! realization.
+//! realization. The MUX engine builds its plan from the same route-masked
+//! weight streams as its table (`weight ∧ route`), so there a flip at
+//! clock `j` shifts a count by `±(weight_bit(j) ∧ route_bit(j))`.
 //!
 //! Carry-safety: [`ImageFaults::apply`] accumulates a pixel's `0→1` flips
 //! (count grows) before its `1→0` flips (count shrinks). Each add keeps a

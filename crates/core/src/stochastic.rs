@@ -3,7 +3,7 @@ use crate::baseline::{ternary, window_taps, FirstLayer, KernelBank, IMAGE_SIDE};
 use crate::counts::{
     fold_tree_counts_wide, fold_tree_counts_wide_stuck, live_fold_node, table_fits,
     AnyLevelCountTable, LaneWidth, LaneWord, LevelCountTable, LevelStreamCache, PooledTree,
-    ProductCache, ScratchPool, WindowCache, WindowCacheMode, WindowCacheStats,
+    ScratchPool, WindowCache, WindowCacheMode, WindowCacheStats,
 };
 use crate::faults::{gather_faulted, AnyCountFaultPlan, ImageFaults};
 use crate::Error;
@@ -86,20 +86,23 @@ pub struct ScOptions {
     pub soft_threshold: f32,
     /// Fault model for the resilience experiments (paper §I / Fig. 8):
     /// [`FaultModel::None`] (every preset) runs fault-free;
-    /// [`FaultModel::BitError`] injects per-bit stream flips — in the
-    /// count domain on the TFF fast path, literally on the streaming
-    /// path; stuck-at models pin a datapath site (TFF only).
+    /// [`FaultModel::BitError`] injects per-bit stream flips — as count
+    /// deltas on the count-domain path (TFF and MUX alike), literally on
+    /// the streaming reference; stuck-at models pin a datapath site (TFF
+    /// only).
     pub fault: FaultModel,
     /// Seed for LFSRs, random sources and fault injection.
     pub seed: u64,
-    /// [`LaneWord`] width of the count-domain fold. [`LaneWidth::Auto`]
-    /// (every preset) picks `u64` when the count path is available and
-    /// falls back to streaming otherwise; an explicit width turns that
-    /// fallback into a construction error.
+    /// [`LaneWord`] width of the count-domain reduction (the TFF fold or
+    /// the MUX lane sum). [`LaneWidth::Auto`] (every preset) picks `u64`
+    /// when the count path is available and falls back to streaming
+    /// otherwise (table over budget, or stream counts beyond the 16-bit
+    /// lane ceiling); an explicit width turns that fallback into a
+    /// construction error.
     pub lane_width: LaneWidth,
     /// Window memoization ([`WindowCache`]): `Off` in every preset;
     /// a budgeted mode memoizes per-window fold outputs and is a
-    /// construction error on configurations without the fault-free
+    /// construction error on configurations without the fault-free TFF
     /// count-domain path (MUX adder, any fault model, oversized table —
     /// a faulted fold is not a pure function of the window key).
     pub window_cache: WindowCacheMode,
@@ -156,12 +159,17 @@ impl Default for ScOptions {
 /// implements the ternary sign activation with the trained bias folded in
 /// as a count offset.
 ///
-/// The TFF configuration uses the counting closed form of the TFF adder
-/// (§III) as a fast path — bit-exact with the sequential hardware model,
-/// which the test-suite cross-validates against `scnn-sim`'s reference
-/// tree. The MUX configuration is simulated bit-parallel (words of 64
-/// cycles) because its output genuinely depends on which bits the select
-/// streams sample.
+/// Both adder kinds run in the count domain. The TFF configuration uses
+/// the counting closed form of the TFF adder (§III) — bit-exact with the
+/// sequential hardware model, which the test-suite cross-validates
+/// against `scnn-sim`'s reference tree. The MUX configuration's select
+/// streams are fixed at construction, so every clock routes the tree
+/// output to exactly one leaf: with `route(tree, t)` the clocks routed to
+/// leaf `t`, the output count is
+/// `Σ_t count(pixel ∧ weight(k, t) ∧ route(tree, t))`. The engine masks
+/// each weight stream with the route of the tree its sign feeds once at
+/// construction, builds the same table from the masked streams, and
+/// reduces with a lane-wise sum instead of the TFF fold.
 ///
 /// # The level-indexed AND-count table
 ///
@@ -169,23 +177,22 @@ impl Default for ScOptions {
 /// the fixed shared `pixel_seq`, a stream can take at most `2^b + 1`
 /// distinct bit patterns — one per comparator level `0..=2^b`; the table
 /// covers them all, though `b`-bit pixel quantization saturates at level
-/// `2^b − 1` and so reads only `2^b` rows. The TFF datapath consumes
-/// streams *only* through `count(pixel ∧ weight)`, so the whole per-tap
-/// multiply-and-count collapses to a
+/// `2^b − 1` and so reads only `2^b` rows. Both datapaths consume
+/// streams *only* through `count(pixel ∧ weight [∧ route])`, so the whole
+/// per-tap multiply-and-count collapses to a
 /// [`LevelCountTable`](crate::counts::LevelCountTable) precomputed at
 /// construction. [`forward_image`](FirstLayer::forward_image) then
-/// quantizes each pixel once and folds counts for all `K` kernels in
+/// quantizes each pixel once and reduces counts for all `K` kernels in
 /// parallel [`LaneTree`](crate::counts::LaneTree) lanes — zero bitstream
 /// traffic, bit-exact with
 /// [`forward_image_streaming`](Self::forward_image_streaming) (property
-/// tested). Fault injection stays on the fast path: bit errors are lifted
-/// into per-(pixel, tap) count deltas and stuck-at sites into gather/fold
-/// overrides, so faulted sweeps run at LUT speed (see
-/// [`ScOptions::fault`]). The streaming simulation remains in use where
-/// bits genuinely matter: the MUX tree (select sampling, with AND products
-/// deduplicated through a [`ProductCache`](crate::counts::ProductCache)),
-/// where it also serves as the ground-truth fault reference. The shared
-/// machinery lives in
+/// tested for both adders). Fault injection stays on the fast path: bit
+/// errors are lifted into per-(pixel, tap) count deltas and stuck-at
+/// sites into gather/fold overrides, so faulted sweeps run at LUT speed
+/// (see [`ScOptions::fault`]). The bit-level streaming simulation is the
+/// reference oracle for tests and the ground-truth fault model, and runs
+/// in production only where the table cannot (oversized table, streams
+/// beyond the 16-bit lane ceiling). The shared machinery lives in
 /// [`counts`](crate::counts) and also powers
 /// [`StochasticDenseLayer`](crate::StochasticDenseLayer).
 #[derive(Debug, Clone)]
@@ -197,26 +204,23 @@ pub struct StochasticConvLayer {
     n: usize,
     /// Padded tap count (next power of two ≥ ksize²) — the tree width.
     padded: usize,
-    /// Magnitude streams per (kernel, tap).
+    /// Magnitude streams per (kernel, tap), unmasked — what the weight SNG
+    /// bank emits.
     weight_streams: StreamArena,
     /// Sign of each (kernel, tap) weight.
     weight_neg: Vec<bool>,
     /// Select streams for the MUX trees (2·(padded−1) streams), empty for TFF.
     select_streams: StreamArena,
-    /// Level-indexed AND-count table of the configured [`LaneWidth`];
-    /// `None` when the streaming path must run (MUX adder, oversized
-    /// table).
+    /// Level-indexed AND-count table of the configured [`LaneWidth`]
+    /// (built from route-masked weights for the MUX adder); `None` when
+    /// the streaming path must run (oversized table, streams beyond the
+    /// 16-bit lane ceiling).
     lut: Option<AnyLevelCountTable>,
     /// Count-domain bit-error plan, built when the table is live and
     /// [`ScOptions::fault`] carries a positive bit-error rate; per image
     /// it samples the flip set from `(seed, image_index, pixel)` and
     /// perturbs the gathered counts exactly as literal stream flips would.
     fault_plan: Option<AnyCountFaultPlan>,
-    /// Prefilled per-(pixel-level, weight) AND products for the MUX path;
-    /// `None` under fault injection (pixel bits are perturbed) or when the
-    /// cache exceeds its budget. Built once at construction, shared by
-    /// every image.
-    mux_products: Option<ProductCache>,
     /// Per-distinct-level comparator conversion cache for the streaming
     /// paths, hoisted out of `pixel_streams` so repeated streaming
     /// forwards reuse one conversion per level across images. Shared by
@@ -312,31 +316,47 @@ impl StochasticConvLayer {
             StreamArena::new(0, n)?
         };
 
-        // Level-indexed AND-count table (see the type-level docs). Only the
-        // TFF adder admits the count-domain shortcut; `table_fits`
-        // additionally gates the memory budget and the 16-bit lane
-        // arithmetic shared by every width. Fault injection no longer
-        // forces streaming: bit errors become count deltas (the plan
-        // below) and stuck-at sites become gather/fold overrides.
-        let count_path = options.adder == AdderKind::Tff
-            && table_fits(n, ksq, bank.kernels)
-            && options.lane_width.supports_counts_to(n);
+        // The MUX table gathers route-masked counts: each weight stream is
+        // ANDed with the route of the tree its sign feeds, so the table and
+        // fault-plan builders below see `weight ∧ route` as the weight.
+        let masked_weights = if options.adder == AdderKind::Mux {
+            let routes = mux_routes(&select_streams, padded, n)?;
+            let mut masked = weight_streams.clone();
+            for (idx, &neg) in weight_neg.iter().enumerate() {
+                let route = routes.stream(usize::from(neg) * padded + idx % ksq);
+                for (w, &r) in masked.stream_mut(idx).iter_mut().zip(route) {
+                    *w &= r;
+                }
+            }
+            Some(masked)
+        } else {
+            None
+        };
+        let table_weights = masked_weights.as_ref().unwrap_or(&weight_streams);
+
+        // Level-indexed AND-count table (see the type-level docs).
+        // `table_fits` gates the memory budget and the 16-bit lane
+        // arithmetic shared by every width. Fault injection does not force
+        // streaming: bit errors become count deltas (the plan below) and
+        // stuck-at sites become gather/fold overrides.
+        let count_path =
+            table_fits(n, ksq, bank.kernels) && options.lane_width.supports_counts_to(n);
         let lut = if count_path {
             let _build = scnn_obs::span("conv/lut_build");
             Some(AnyLevelCountTable::build(
                 options.lane_width,
                 &pixel_seq,
-                &weight_streams,
+                table_weights,
                 &weight_neg,
                 ksq,
                 bank.kernels,
             )?)
         } else if options.lane_width != LaneWidth::Auto {
-            // An explicit width pins the count-domain fold; the silent
-            // streaming fallback would ignore it.
+            // An explicit width pins the count-domain reduction; the
+            // silent streaming fallback would ignore it.
             return Err(Error::config(format!(
-                "lane width {} requires the count-domain path (TFF adder, table within budget, \
-                 stream counts within the 16-bit lane ceiling)",
+                "lane width {} requires the count-domain path (table within budget, stream \
+                 counts within the 16-bit lane ceiling)",
                 options.lane_width
             )));
         } else {
@@ -344,14 +364,16 @@ impl StochasticConvLayer {
         };
 
         // Count-domain bit-error plan: per-(stream bit, tap) weight bit
-        // planes, sampled per (image index, pixel) at forward time.
+        // planes, sampled per (image index, pixel) at forward time. Built
+        // from the masked MUX weights, a flip at clock `j` shifts a count
+        // by `±(weight_bit ∧ route_bit)`.
         let fault_plan = match (&lut, options.fault.bit_error_rate()) {
             (Some(table), ber) if ber > 0.0 => Some(AnyCountFaultPlan::build(
                 table.width(),
                 ber,
                 options.seed,
                 &pixel_seq,
-                &weight_streams,
+                table_weights,
                 &weight_neg,
                 ksq,
                 bank.kernels,
@@ -359,38 +381,21 @@ impl StochasticConvLayer {
             _ => None,
         };
 
-        // MUX AND-product dedup (the count table does not apply — the MUX
-        // output depends on which bits the selects sample — but the AND
-        // products are pure functions of (pixel level, weight stream) as
-        // long as fault injection does not perturb the pixel bits).
-        // Prefilled here once so every image of a dataset reuses the same
-        // products and only the select sampling reruns.
-        let num_weights = bank.kernels * ksq;
-        let mux_products = if options.adder == AdderKind::Mux
-            && options.fault.is_none()
-            && ProductCache::fits(n + 1, num_weights, n.div_ceil(64))
-        {
-            let mut cache = ProductCache::new(n + 1, num_weights, n.div_ceil(64));
-            let mut level_stream = StreamArena::new(1, n)?;
-            for level in 0..=n {
-                level_stream.write_from_levels(0, &pixel_seq, level as u64);
-                for idx in 0..num_weights {
-                    cache.product(level, idx, level_stream.stream(0), weight_streams.stream(idx));
-                }
-            }
-            Some(cache)
-        } else {
-            None
-        };
-
-        // Window memoization rides on the count table: the memoized value
-        // is the fold of table gathers, so without the table there is
-        // nothing sound to key on — and a faulted fold is not a pure
-        // function of the window key (bit-error deltas vary per image and
-        // pixel position). Requesting it on either configuration is an
-        // error, mirroring the explicit lane-width contract above.
+        // Window memoization rides on the fault-free TFF table: the
+        // memoized value is the fold of table gathers, so without the
+        // table there is nothing sound to key on — and a faulted fold is
+        // not a pure function of the window key (bit-error deltas vary per
+        // image and pixel position). The MUX engine is excluded outright.
+        // Requesting it on any of these is an error, mirroring the explicit
+        // lane-width contract above.
         options.window_cache.validate()?;
         let window_cache = match options.window_cache.entries() {
+            Some(_) if options.adder != AdderKind::Tff => {
+                return Err(Error::config(format!(
+                    "window_cache ({}) is only supported on the TFF adder",
+                    options.window_cache
+                )));
+            }
             Some(entries) if lut.is_some() && options.fault.is_none() => {
                 Some(Arc::new(WindowCache::new(entries, 2 * ksq, 2 * bank.kernels)?))
             }
@@ -418,7 +423,6 @@ impl StochasticConvLayer {
             select_streams,
             lut,
             fault_plan,
-            mux_products,
             level_streams,
             window_cache,
         })
@@ -524,9 +528,10 @@ impl StochasticConvLayer {
         Ok(arena)
     }
 
-    /// Whether the level-indexed AND-count fast path is active (TFF adder,
-    /// table within budget) — faulted configurations included: bit errors
-    /// run as count deltas, stuck-at sites as gather/fold overrides.
+    /// Whether the level-indexed AND-count fast path is active (table
+    /// within budget, stream counts within the 16-bit lane ceiling) — for
+    /// both adders and faulted configurations included: bit errors run as
+    /// count deltas, stuck-at sites as gather/fold overrides.
     pub fn uses_count_table(&self) -> bool {
         self.lut.is_some()
     }
@@ -579,26 +584,51 @@ impl StochasticConvLayer {
     }
 
     /// The count-domain fast path: dispatches the configured lane width
-    /// into the monomorphized fold. `image_index` seeds the bit-error
-    /// flip set (ignored when the engine is fault-free), keeping faulted
-    /// results byte-identical for any thread count or batch order.
+    /// and the adder's reducer into the monomorphized window loop.
+    /// `image_index` seeds the bit-error flip set (ignored when the engine
+    /// is fault-free), keeping faulted results byte-identical for any
+    /// thread count or batch order.
     fn forward_image_lut(&self, image: &[f32], image_index: u64) -> Result<Vec<f32>, Error> {
-        match self.lut.as_ref().expect("caller checked uses_count_table") {
-            AnyLevelCountTable::U16(lut) => self.forward_image_lut_typed(lut, image, image_index),
-            AnyLevelCountTable::U32(lut) => self.forward_image_lut_typed(lut, image, image_index),
-            AnyLevelCountTable::U64(lut) => self.forward_image_lut_typed(lut, image, image_index),
-            AnyLevelCountTable::U128(lut) => self.forward_image_lut_typed(lut, image, image_index),
+        let lut = self.lut.as_ref().expect("caller checked uses_count_table");
+        match self.options.adder {
+            AdderKind::Tff => self.forward_image_lut_width::<false>(lut, image, image_index),
+            AdderKind::Mux => self.forward_image_lut_width::<true>(lut, image, image_index),
+        }
+    }
+
+    /// [`forward_image_lut`](Self::forward_image_lut)'s lane-width arm.
+    fn forward_image_lut_width<const LANE_SUM: bool>(
+        &self,
+        lut: &AnyLevelCountTable,
+        image: &[f32],
+        image_index: u64,
+    ) -> Result<Vec<f32>, Error> {
+        match lut {
+            AnyLevelCountTable::U16(lut) => {
+                self.forward_image_lut_typed::<_, LANE_SUM>(lut, image, image_index)
+            }
+            AnyLevelCountTable::U32(lut) => {
+                self.forward_image_lut_typed::<_, LANE_SUM>(lut, image, image_index)
+            }
+            AnyLevelCountTable::U64(lut) => {
+                self.forward_image_lut_typed::<_, LANE_SUM>(lut, image, image_index)
+            }
+            AnyLevelCountTable::U128(lut) => {
+                self.forward_image_lut_typed::<_, LANE_SUM>(lut, image, image_index)
+            }
         }
     }
 
     /// The count-domain fast path over one [`LaneWord`]: quantize each
     /// pixel once, gather per-tap AND counts for all kernels from the
-    /// level-indexed table, and fold both trees in packed kernel lanes on
-    /// pooled scratch. With window memoization on, the fold runs only for
-    /// windows whose level pattern has not been seen — a hit copies the
-    /// memoized root counts, skipping the gathers, the fold and (on a
-    /// fully-hit image) the [`ScratchPool`] checkout entirely.
-    fn forward_image_lut_typed<W: LaneWord>(
+    /// level-indexed table, and reduce both trees in packed kernel lanes
+    /// on pooled scratch — the TFF fold, or the MUX lane sum when
+    /// `LANE_SUM` is set (fixed per engine by its adder, so the window loop
+    /// never branches on it). With window memoization on, the fold runs
+    /// only for windows whose level pattern has not been seen — a hit
+    /// copies the memoized root counts, skipping the gathers, the fold and
+    /// (on a fully-hit image) the [`ScratchPool`] checkout entirely.
+    fn forward_image_lut_typed<W: LaneWord, const LANE_SUM: bool>(
         &self,
         lut: &LevelCountTable<W>,
         image: &[f32],
@@ -716,17 +746,24 @@ impl StochasticConvLayer {
                         neg.tap_lanes_mut(t).fill(W::ZERO);
                     }
                 }
-                match stuck {
-                    // A stuck TFF column pins one node of the positive
-                    // tree (a systematic defect: the same physical adder
-                    // in every window).
-                    Some((FaultSite::AdderNode { node }, value)) => {
-                        pos.fold_stuck(node as usize, if value { self.n as u16 } else { 0 });
-                        neg.fold();
-                    }
-                    _ => {
-                        pos.fold();
-                        neg.fold();
+                if LANE_SUM {
+                    // MUX trees: the gathered counts are already masked by
+                    // their leaf routes, which partition the clocks.
+                    pos.sum();
+                    neg.sum();
+                } else {
+                    match stuck {
+                        // A stuck TFF column pins one node of the positive
+                        // tree (a systematic defect: the same physical
+                        // adder in every window).
+                        Some((FaultSite::AdderNode { node }, value)) => {
+                            pos.fold_stuck(node as usize, if value { self.n as u16 } else { 0 });
+                            neg.fold();
+                        }
+                        _ => {
+                            pos.fold();
+                            neg.fold();
+                        }
                     }
                 }
                 for k in 0..lanes {
@@ -744,11 +781,12 @@ impl StochasticConvLayer {
 
     /// The bit-level streaming engine — the hardware reference model.
     ///
-    /// [`forward_image`](FirstLayer::forward_image) dispatches here
-    /// whenever the count-domain table is unavailable (MUX adder,
-    /// oversized table); it stays public so benches and property tests can
-    /// compare the two paths on any configuration (bit-exact for the
-    /// fault-free and stuck-at TFF engine). Under
+    /// [`forward_image`](FirstLayer::forward_image) dispatches here only
+    /// when the count-domain table is unavailable (oversized table,
+    /// streams beyond the 16-bit lane ceiling); it stays public so benches
+    /// and property tests can compare the two paths on any configuration
+    /// (bit-exact for every fault-free engine and the stuck-at TFF
+    /// engine). Under
     /// [`FaultModel::BitError`] this path flips literal stream bits seeded
     /// by image *content* — the ground-truth realization the count-domain
     /// deltas are statistically matched against.
@@ -757,16 +795,6 @@ impl StochasticConvLayer {
     ///
     /// Returns [`Error::Config`] if the image has the wrong size.
     pub fn forward_image_streaming(&self, image: &[f32]) -> Result<Vec<f32>, Error> {
-        self.forward_image_streaming_impl(image, true)
-    }
-
-    /// The streaming engine body; `use_product_cache` lets the tests pit
-    /// the deduplicated MUX path against the direct per-window recompute.
-    fn forward_image_streaming_impl(
-        &self,
-        image: &[f32],
-        use_product_cache: bool,
-    ) -> Result<Vec<f32>, Error> {
         if image.len() != IMAGE_SIDE * IMAGE_SIDE {
             return Err(Error::config(format!(
                 "expected {} pixels, got {}",
@@ -792,19 +820,7 @@ impl StochasticConvLayer {
         let mut next = vec![0u64; (self.padded / 2).max(1) * w];
         let mut pos_counts = vec![0u64; self.padded];
         let mut neg_counts = vec![0u64; self.padded];
-        // MUX AND-product dedup: the engine prefilled one product per
-        // (pixel level, weight) at construction, so repeated windows —
-        // across all images — reuse them and only the select sampling
-        // reruns. The cached path reads no pixel bits at all, only the
-        // levels, so the per-image stream conversion is skipped entirely.
-        let bits = self.precision.bits();
-        let product_cache = if use_product_cache { self.mux_products.as_ref() } else { None };
-        let levels: Vec<usize> = if product_cache.is_some() {
-            image.iter().map(|&v| pixel_level(v, bits) as usize).collect()
-        } else {
-            Vec::new()
-        };
-        let pixels = if product_cache.is_some() { None } else { Some(self.pixel_streams(image)?) };
+        let pixels = self.pixel_streams(image)?;
         for k in 0..self.bank.kernels {
             for oy in 0..IMAGE_SIDE {
                 for ox in 0..IMAGE_SIDE {
@@ -812,13 +828,13 @@ impl StochasticConvLayer {
                         AdderKind::Tff => {
                             pos_counts.fill(0);
                             neg_counts.fill(0);
-                            let arena =
-                                pixels.as_ref().expect("TFF streaming always converts pixels");
                             for (t, px) in window_taps(self.bank.ksize, oy, ox) {
                                 if let Some(p) = px {
                                     let idx = k * ksq + t;
-                                    let c =
-                                        and_count(arena.stream(p), self.weight_streams.stream(idx));
+                                    let c = and_count(
+                                        pixels.stream(p),
+                                        self.weight_streams.stream(idx),
+                                    );
                                     if self.weight_neg[idx] {
                                         neg_counts[t] = c;
                                     } else {
@@ -862,17 +878,7 @@ impl StochasticConvLayer {
                         }
                         AdderKind::Mux => {
                             let mut window = |tree| {
-                                self.mux_window(
-                                    pixels.as_ref(),
-                                    &levels,
-                                    product_cache,
-                                    k,
-                                    oy,
-                                    ox,
-                                    &mut scratch,
-                                    &mut next,
-                                    tree,
-                                )
+                                self.mux_window(&pixels, k, oy, ox, &mut scratch, &mut next, tree)
                             };
                             (window(0), window(1))
                         }
@@ -888,13 +894,12 @@ impl StochasticConvLayer {
         Ok(out)
     }
 
-    /// One window-kernel dot product via the MUX trees (bit-parallel).
+    /// One window-kernel dot product via the MUX trees (bit-parallel) —
+    /// the bit-level oracle the count-domain MUX path is tested against.
     #[allow(clippy::too_many_arguments)]
     fn mux_window(
         &self,
-        pixels: Option<&StreamArena>,
-        levels: &[usize],
-        product_cache: Option<&ProductCache>,
+        pixels: &StreamArena,
         k: usize,
         oy: usize,
         ox: usize,
@@ -907,54 +912,75 @@ impl StochasticConvLayer {
         scratch.fill(0);
         for (t, px) in window_taps(self.bank.ksize, oy, ox) {
             let idx = k * ksq + t;
-            let is_neg = self.weight_neg[idx];
-            if (tree == 1) != is_neg {
+            if (tree == 1) != self.weight_neg[idx] {
                 continue;
             }
             if let Some(p) = px {
                 let dst = &mut scratch[t * w..(t + 1) * w];
-                match product_cache {
-                    Some(cache) => {
-                        let product = cache.get(levels[p], idx).expect("prefilled at construction");
-                        dst.copy_from_slice(product);
-                    }
-                    None => {
-                        let pw = pixels.expect("pixel streams exist when the cache is absent");
-                        let pw = pw.stream(p);
-                        let ww = self.weight_streams.stream(idx);
-                        for i in 0..w {
-                            dst[i] = pw[i] & ww[i];
-                        }
-                    }
+                let (pw, ww) = (pixels.stream(p), self.weight_streams.stream(idx));
+                for i in 0..w {
+                    dst[i] = pw[i] & ww[i];
                 }
             }
         }
-        // Fold the tree level by level (ping-pong between scratch and next).
-        let mut width = self.padded;
-        let mut node = (padded_nodes(self.padded)) * tree;
-        let mut cur: &mut [u64] = scratch;
-        let mut nxt: &mut [u64] = next;
-        while width > 1 {
-            for i in 0..width / 2 {
-                let sel = self.select_streams.stream(node);
-                node += 1;
-                let (a, b) =
-                    (&cur[2 * i * w..(2 * i + 1) * w], &cur[(2 * i + 1) * w..(2 * i + 2) * w]);
-                // Select 1 picks the first input, matching sim::MuxAdder's
-                // convention of select picking y when 1 — orientation is
-                // symmetric for a 1/2 select, so either is faithful.
-                mux_words(&mut nxt[i * w..(i + 1) * w], a, b, sel);
-            }
-            std::mem::swap(&mut cur, &mut nxt);
-            width /= 2;
-        }
-        cur[..w].iter().map(|x| u64::from(x.count_ones())).sum()
+        let out = mux_fold(&self.select_streams, self.padded, tree, scratch, next);
+        out.iter().map(|x| u64::from(x.count_ones())).sum()
     }
 }
 
-/// Nodes in one tree of `padded` leaves.
-fn padded_nodes(padded: usize) -> usize {
-    padded - 1
+/// Folds one MUX tree level by level over the `padded` leaf streams in
+/// `leaves` (ping-pong with `next`) and returns the root stream. `tree`
+/// picks the positive (0) or negative (1) tree's select streams; nodes
+/// are numbered as in [`StochasticConvLayer::from_conv`].
+fn mux_fold<'a>(
+    selects: &StreamArena,
+    padded: usize,
+    tree: usize,
+    leaves: &'a mut [u64],
+    next: &'a mut [u64],
+) -> &'a [u64] {
+    let w = selects.words_per_stream();
+    let mut width = padded;
+    let mut node = (padded - 1) * tree;
+    let mut cur = leaves;
+    let mut nxt = next;
+    while width > 1 {
+        for i in 0..width / 2 {
+            let sel = selects.stream(node);
+            node += 1;
+            let (a, b) = (&cur[2 * i * w..(2 * i + 1) * w], &cur[(2 * i + 1) * w..(2 * i + 2) * w]);
+            // Select 1 picks the first input, matching sim::MuxAdder's
+            // convention of select picking y when 1 — orientation is
+            // symmetric for a 1/2 select, so either is faithful.
+            mux_words(&mut nxt[i * w..(i + 1) * w], a, b, sel);
+        }
+        std::mem::swap(&mut cur, &mut nxt);
+        width /= 2;
+    }
+    &cur[..w]
+}
+
+/// The route masks of both MUX trees: stream `tree · padded + t` holds the
+/// clocks at which tree `tree` outputs leaf `t` — the tree's output when
+/// an all-ones stream feeds leaf `t` and zeros feed every other leaf. The
+/// selects are fixed, so one tree's routes partition its `n` clocks.
+fn mux_routes(selects: &StreamArena, padded: usize, n: usize) -> Result<StreamArena, Error> {
+    let mut routes = StreamArena::new(2 * padded, n)?;
+    // An all-ones stream: every draw of an all-zero sequence is below 1.
+    let mut ones = StreamArena::new(1, n)?;
+    ones.write_from_levels(0, &vec![0; n], 1);
+    let w = routes.words_per_stream();
+    let mut leaves = vec![0u64; padded * w];
+    let mut next = vec![0u64; (padded / 2).max(1) * w];
+    for tree in 0..2 {
+        for t in 0..padded {
+            leaves.fill(0);
+            leaves[t * w..(t + 1) * w].copy_from_slice(ones.stream(0));
+            let route = mux_fold(selects, padded, tree, &mut leaves, &mut next);
+            routes.stream_mut(tree * padded + t).copy_from_slice(route);
+        }
+    }
+    Ok(routes)
 }
 
 impl FirstLayer for StochasticConvLayer {
@@ -1087,19 +1113,43 @@ mod tests {
     }
 
     #[test]
-    fn mux_product_cache_is_transparent() {
-        // The deduplicated MUX streaming path must be bit-identical with
-        // the direct per-window AND recompute for every precision.
-        for bits in [3u32, 4, 6] {
+    fn mux_lut_and_streaming_paths_are_bit_exact() {
+        // The route-masked table plus lane sum must reproduce the bit-level
+        // MUX trees for every precision.
+        for bits in [2u32, 3, 4, 6, 8] {
             let engine =
                 StochasticConvLayer::from_conv(&conv(), precision(bits), ScOptions::old_sc())
                     .unwrap();
+            assert!(engine.uses_count_table(), "bits={bits}");
             let img = test_image(u64::from(bits) * 5 + 2);
-            let cached = engine.forward_image_streaming_impl(&img, true).unwrap();
-            let direct = engine.forward_image_streaming_impl(&img, false).unwrap();
-            assert_eq!(cached, direct, "bits={bits}");
-            // And the public entry points agree with both.
-            assert_eq!(engine.forward_image(&img).unwrap(), cached, "bits={bits}");
+            assert_eq!(
+                engine.forward_image(&img).unwrap(),
+                engine.forward_image_streaming(&img).unwrap(),
+                "bits={bits}"
+            );
+        }
+    }
+
+    #[test]
+    fn mux_routes_partition_the_clocks() {
+        // Each tree's live-leaf routes are pairwise disjoint, and with the
+        // padded leaves they cover every one of the N clocks exactly once.
+        for bits in [2u32, 4, 6, 8] {
+            let engine =
+                StochasticConvLayer::from_conv(&conv(), precision(bits), ScOptions::old_sc())
+                    .unwrap();
+            let (n, padded) = (engine.stream_len(), engine.padded);
+            let routes = mux_routes(&engine.select_streams, padded, n).unwrap();
+            for tree in 0..2 {
+                let route = |t: usize| routes.stream(tree * padded + t);
+                for a in 0..engine.taps() {
+                    for b in a + 1..engine.taps() {
+                        assert_eq!(and_count(route(a), route(b)), 0, "bits={bits} {a}/{b}");
+                    }
+                }
+                let covered: u64 = (0..padded).map(|t| routes.count(tree * padded + t)).sum();
+                assert_eq!(covered, n as u64, "bits={bits} tree={tree}");
+            }
         }
     }
 
@@ -1199,16 +1249,18 @@ mod tests {
 
     #[test]
     fn faulted_tff_configurations_keep_the_table() {
-        // Fault injection no longer forfeits the count path: bit errors
-        // run as count deltas at LUT speed.
-        let noisy = ScOptions { fault: FaultModel::BitError(0.01), ..ScOptions::this_work() };
-        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), noisy).unwrap();
-        assert!(engine.uses_count_table());
-        assert_eq!(engine.lane_width(), Some(LaneWidth::U64));
-        // The MUX tree still streams.
+        // Fault injection does not forfeit the count path: bit errors run
+        // as count deltas at LUT speed — on the TFF and the MUX adder.
+        for preset in [ScOptions::this_work(), ScOptions::old_sc()] {
+            let noisy = ScOptions { fault: FaultModel::BitError(0.01), ..preset };
+            let engine = StochasticConvLayer::from_conv(&conv(), precision(4), noisy).unwrap();
+            assert!(engine.uses_count_table(), "{:?}", preset.adder);
+            assert_eq!(engine.lane_width(), Some(LaneWidth::U64));
+            assert!(engine.fault_plan.is_some());
+        }
         let mux =
             StochasticConvLayer::from_conv(&conv(), precision(4), ScOptions::old_sc()).unwrap();
-        assert!(!mux.uses_count_table());
+        assert!(mux.uses_count_table());
     }
 
     #[test]
@@ -1236,10 +1288,18 @@ mod tests {
 
     #[test]
     fn explicit_width_rejects_streaming_only_configurations() {
-        let mux = ScOptions { lane_width: LaneWidth::U64, ..ScOptions::old_sc() };
-        assert!(StochasticConvLayer::from_conv(&conv(), precision(4), mux).is_err());
-        // A faulted TFF engine keeps the count path, so an explicit width
-        // now compiles (it used to force streaming and error out).
+        // 15-bit streams overflow the 16-bit lanes, so only the streaming
+        // path can run them: an explicit width is an error on either adder.
+        for preset in [ScOptions::this_work(), ScOptions::old_sc()] {
+            let wide = ScOptions { lane_width: LaneWidth::U64, ..preset };
+            let err = StochasticConvLayer::from_conv(&conv(), precision(15), wide).unwrap_err();
+            assert!(err.to_string().contains("count-domain"), "{err}");
+        }
+        // The MUX adder and faulted engines keep the count path, so an
+        // explicit width compiles on them.
+        let mux = ScOptions { lane_width: LaneWidth::U16, ..ScOptions::old_sc() };
+        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), mux).unwrap();
+        assert_eq!(engine.lane_width(), Some(LaneWidth::U16));
         let noisy = ScOptions {
             lane_width: LaneWidth::U32,
             fault: FaultModel::BitError(0.01),
@@ -1310,9 +1370,10 @@ mod tests {
 
     #[test]
     fn window_cache_requires_the_count_path() {
+        // The MUX engine has a table, but window memoization stays TFF-only.
         let mux = ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::old_sc() };
         let err = StochasticConvLayer::from_conv(&conv(), precision(4), mux).unwrap_err();
-        assert!(err.to_string().contains("count-domain"), "{err}");
+        assert!(err.to_string().contains("TFF"), "{err}");
         let noisy = ScOptions {
             window_cache: WindowCacheMode::on(),
             fault: FaultModel::BitError(0.01),
@@ -1479,16 +1540,25 @@ mod tests {
 
     #[test]
     fn count_domain_faults_match_streaming_statistics() {
-        // Both fault paths sample Bernoulli(p) per stream bit — flip-count
-        // moments must match the Binomial(784·N, p) law, and the ternary
-        // feature perturbation rate must agree across paths (the two
-        // realizations differ; their statistics must not).
+        assert_fault_statistics_match(ScOptions::this_work());
+    }
+
+    #[test]
+    fn count_domain_mux_faults_match_streaming_statistics() {
+        assert_fault_statistics_match(ScOptions::old_sc());
+    }
+
+    /// Both fault paths sample Bernoulli(p) per stream bit — flip-count
+    /// moments must match the Binomial(784·N, p) law, and the ternary
+    /// feature perturbation rate must agree across paths (the two
+    /// realizations differ; their statistics must not).
+    fn assert_fault_statistics_match(preset: ScOptions) {
         let c = conv();
         for (bits, ber) in [(4u32, 0.1f64), (6, 0.05)] {
-            let clean = StochasticConvLayer::from_conv(&c, precision(bits), ScOptions::this_work())
-                .unwrap();
-            let opts = ScOptions { fault: FaultModel::BitError(ber), ..ScOptions::this_work() };
+            let clean = StochasticConvLayer::from_conv(&c, precision(bits), preset).unwrap();
+            let opts = ScOptions { fault: FaultModel::BitError(ber), ..preset };
             let engine = StochasticConvLayer::from_conv(&c, precision(bits), opts).unwrap();
+            assert!(engine.uses_count_table(), "{:?}", preset.adder);
             let plan = engine.fault_plan.as_ref().expect("ber > 0 builds a plan");
             let n = engine.stream_len();
             let images = 24u64;

@@ -228,6 +228,40 @@ proptest! {
         prop_assert_eq!(fast, reference);
     }
 
+    /// The MUX ("old SC") count-domain path — route-masked table gathers
+    /// reduced by a lane sum — is bit-exact with the bit-level MUX trees
+    /// for every precision, conv seed and select/SNG seed, on images with
+    /// all-zero and saturated pixels as well as all-zero and all-saturated
+    /// frames.
+    #[test]
+    fn mux_lut_engine_matches_streaming_engine(
+        conv_seed in any::<u64>(),
+        seed in any::<u64>(),
+        bits in 2u32..=8,
+        image_seed in any::<u64>(),
+    ) {
+        let conv = small_conv(conv_seed);
+        let options = ScOptions { seed, ..ScOptions::old_sc() };
+        let engine =
+            StochasticConvLayer::from_conv(&conv, Precision::new(bits).unwrap(), options).unwrap();
+        prop_assert!(engine.uses_count_table());
+        // Every fourth pixel black, every fourth saturated, the rest noise.
+        let mixed: Vec<f32> = image_from_seed(image_seed)
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match (i as u64 ^ image_seed) % 4 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => v,
+            })
+            .collect();
+        for image in [mixed, vec![0.0; 784], vec![1.0; 784]] {
+            let fast = engine.forward_image(&image).unwrap();
+            let reference = engine.forward_image_streaming(&image).unwrap();
+            prop_assert_eq!(fast, reference, "bits={} seed={}", bits, seed);
+        }
+    }
+
     /// One window of the fast path reproduced from first principles through
     /// `scnn_sim::TffAdderTree`: per-tap AND counts from the actual pixel
     /// and weight streams, folded by the reference tree, biased and

@@ -8,68 +8,38 @@ use std::time::Instant;
 /// The one documented home of the `BENCH.json` key-naming conventions.
 ///
 /// Every bin and bench builds its record names through these helpers, so
-/// the conventions — the `bin/<name>` prefix, the `+window_cache` rerun
+/// the conventions — the `bin/<name>` prefix, the `+feature_cache` rerun
 /// suffix, per-precision `/<bits>` suffixes, per-width `lanes_<width>`
 /// segments, and the `obs/` observability namespace — live in one place
 /// instead of being re-`format!`ed per harness.
 pub mod key {
-    /// `bin/<name>`, or `bin/<name>+window_cache` when `window_cache_on` —
-    /// cache-on reruns must never overwrite the cache-off baseline the perf
-    /// gate diffs against.
+    /// `bin/<name>`, or `bin/<name>+feature_cache` when `feature_cache_on`
+    /// — cache-on reruns must never overwrite the cache-off baseline the
+    /// perf gate diffs against.
     ///
     /// ```
     /// use scnn_bench::report::key;
     ///
-    /// assert_eq!(key::bin_for("table3_accuracy", false), "bin/table3_accuracy");
-    /// assert_eq!(key::bin_for("table3_accuracy", true), "bin/table3_accuracy+window_cache");
+    /// assert_eq!(key::bin_for("retrain_ablation", false), "bin/retrain_ablation");
+    /// assert_eq!(key::bin_for("retrain_ablation", true), "bin/retrain_ablation+feature_cache");
     /// ```
-    pub fn bin_for(name: &str, window_cache_on: bool) -> String {
-        bin_with(name, window_cache_on, false)
-    }
-
-    /// The general cache-rerun key: `bin/<name>` with a `+window_cache`
-    /// and/or `+feature_cache` suffix per enabled cache, in that fixed
-    /// order. Each cache-on rerun gets its own key so it never overwrites
-    /// the cache-off baseline the perf gate diffs against.
-    ///
-    /// ```
-    /// use scnn_bench::report::key;
-    ///
-    /// assert_eq!(key::bin_with("retrain_ablation", false, false), "bin/retrain_ablation");
-    /// assert_eq!(
-    ///     key::bin_with("retrain_ablation", false, true),
-    ///     "bin/retrain_ablation+feature_cache"
-    /// );
-    /// assert_eq!(
-    ///     key::bin_with("retrain_ablation", true, true),
-    ///     "bin/retrain_ablation+window_cache+feature_cache"
-    /// );
-    /// ```
-    pub fn bin_with(name: &str, window_cache_on: bool, feature_cache_on: bool) -> String {
-        let mut key = format!("bin/{name}");
-        if window_cache_on {
-            key.push_str("+window_cache");
-        }
+    pub fn bin_for(name: &str, feature_cache_on: bool) -> String {
         if feature_cache_on {
-            key.push_str("+feature_cache");
+            format!("bin/{name}+feature_cache")
+        } else {
+            format!("bin/{name}")
         }
-        key
     }
 
-    /// [`bin_with`] with the suffixes decided by the live
-    /// `SCNN_WINDOW_CACHE` / `SCNN_FEATURE_CACHE` environment settings (an
-    /// unparseable value counts as off — the harness setup already failed
-    /// fast on it).
+    /// [`bin_for`] with the suffix decided by the live `SCNN_FEATURE_CACHE`
+    /// environment setting (an unparseable value counts as off — the
+    /// harness setup already failed fast on it).
     pub fn bin(name: &str) -> String {
-        let window_on = std::env::var(scnn_core::counts::WINDOW_CACHE_ENV)
-            .ok()
-            .and_then(|v| scnn_core::WindowCacheMode::from_env_value(&v).ok())
-            .is_some_and(|mode| mode.is_on());
         let feature_on = std::env::var(scnn_core::FEATURE_CACHE_ENV)
             .ok()
             .and_then(|v| scnn_core::FeatureCacheMode::from_env_value(&v).ok())
             .is_some_and(|mode| mode.is_on());
-        bin_with(name, window_on, feature_on)
+        bin_for(name, feature_on)
     }
 
     /// Per-precision measurement: `<group>/<metric>/<bits>`, e.g.
@@ -99,7 +69,7 @@ pub mod key {
 
     /// An observability export: `obs/<metric>`, where `<metric>` is a
     /// [`scnn_obs::MetricsRegistry::snapshot`] key (so counters come out as
-    /// `obs/window_cache/hits` and stage latencies as
+    /// `obs/feature_cache/hits` and stage latencies as
     /// `obs/stage/conv/forward/p50`). The perf gate skips everything under
     /// `obs/` except the `p50`/`p90`/`p99`/`max` stage-latency entries.
     ///
@@ -305,7 +275,7 @@ pub const METRICS_OUT_ENV: &str = "SCNN_METRICS_OUT";
 /// Runs a whole harness under a stopwatch and records its wall-clock time
 /// as [`key::bin`]`(name)` in `BENCH.json` — the one-line `main` wrapper
 /// every table/ablation binary uses. (Cache-on reruns land under a
-/// `+window_cache` suffix so they never overwrite the cache-off baseline
+/// `+feature_cache` suffix so they never overwrite the cache-off baseline
 /// the perf gate diffs against; see [`key::bin_for`].)
 ///
 /// Observability hooks:
@@ -413,7 +383,7 @@ const OBS_TIMING_SEGMENTS: [&str; 4] = ["p50", "p90", "p99", "max"];
 /// use scnn_bench::report::is_non_timing;
 ///
 /// // obs counters/gauges/tallies: skipped.
-/// assert!(is_non_timing("obs/window_cache/hits"));
+/// assert!(is_non_timing("obs/feature_cache/hits"));
 /// assert!(is_non_timing("obs/stage/conv/forward/count"));
 /// // obs stage latencies: gated like timings.
 /// assert!(!is_non_timing("obs/stage/conv/forward/p50"));
@@ -451,11 +421,11 @@ pub fn is_non_timing(name: &str) -> bool {
 /// let mut baseline = BenchJson::new();
 /// baseline.record("bin/table1", 1e9);
 /// baseline.record("forward_image/speedup_tff_lut_x/8", 12.0);
-/// baseline.record("forward_image/window_cache/hit_rate/synthetic/8", 0.3);
+/// baseline.record("retrain_ablation/feature_cache/hit_rate", 0.3);
 /// let mut current = BenchJson::new();
 /// current.record("bin/table1", 2.5e9);
 /// current.record("forward_image/speedup_tff_lut_x/8", 30.0);
-/// current.record("forward_image/window_cache/hit_rate/synthetic/8", 0.9);
+/// current.record("retrain_ablation/feature_cache/hit_rate", 0.9);
 /// let found = regressions(&baseline, &current, 2.0);
 /// assert_eq!(found.len(), 1); // ratios and hit rates are not timings
 /// assert_eq!(found[0].name, "bin/table1");
@@ -616,20 +586,20 @@ mod tests {
         baseline.record("bin/b", 100.0);
         baseline.record("bin/gone", 100.0);
         baseline.record("x/speedup_y/8", 10.0);
-        baseline.record("x/window_cache/hit_rate/mnist/8", 0.4);
-        baseline.record("x/window_cache/hits/mnist/8", 100.0);
-        baseline.record("x/window_cache/misses/mnist/8", 25.0);
-        baseline.record("x/window_cache/evictions/mnist/8", 3.0);
+        baseline.record("x/feature_cache/hit_rate/mnist/8", 0.4);
+        baseline.record("x/feature_cache/hits/mnist/8", 100.0);
+        baseline.record("x/feature_cache/misses/mnist/8", 25.0);
+        baseline.record("x/feature_cache/evictions/mnist/8", 3.0);
         baseline.record("bin/zero", 0.0);
         let mut current = BenchJson::new();
         current.record("bin/a", 199.0); // < 2× — fine
         current.record("bin/b", 201.0); // > 2× — regression
         current.record("bin/new", 1e12); // no baseline — skipped
         current.record("x/speedup_y/8", 100.0); // ratio entry — skipped
-        current.record("x/window_cache/hit_rate/mnist/8", 0.95); // ratio — skipped
-        current.record("x/window_cache/hits/mnist/8", 9e5); // counter — skipped
-        current.record("x/window_cache/misses/mnist/8", 7e4); // counter — skipped
-        current.record("x/window_cache/evictions/mnist/8", 5e3); // counter — skipped
+        current.record("x/feature_cache/hit_rate/mnist/8", 0.95); // ratio — skipped
+        current.record("x/feature_cache/hits/mnist/8", 9e5); // counter — skipped
+        current.record("x/feature_cache/misses/mnist/8", 7e4); // counter — skipped
+        current.record("x/feature_cache/evictions/mnist/8", 5e3); // counter — skipped
         current.record("bin/zero", 50.0); // zero baseline — skipped
         let found = regressions(&baseline, &current, 2.0);
         assert_eq!(found.len(), 1);
@@ -657,16 +627,7 @@ mod tests {
     #[test]
     fn key_helpers_build_the_documented_conventions() {
         assert_eq!(key::bin_for("table1_mse", false), "bin/table1_mse");
-        assert_eq!(key::bin_for("table1_mse", true), "bin/table1_mse+window_cache");
-        assert_eq!(key::bin_with("retrain_ablation", false, false), "bin/retrain_ablation");
-        assert_eq!(
-            key::bin_with("retrain_ablation", false, true),
-            "bin/retrain_ablation+feature_cache"
-        );
-        assert_eq!(
-            key::bin_with("retrain_ablation", true, true),
-            "bin/retrain_ablation+window_cache+feature_cache"
-        );
+        assert_eq!(key::bin_for("retrain_ablation", true), "bin/retrain_ablation+feature_cache");
         assert_eq!(key::per_bits("forward_image", "tff_lut", 23), "forward_image/tff_lut/23");
         assert_eq!(key::lanes("dense_forward", "u8", 4), "dense_forward/lanes_u8/4");
         assert_eq!(key::obs("nn/images_evaluated"), "obs/nn/images_evaluated");
@@ -676,7 +637,7 @@ mod tests {
     #[test]
     fn obs_counters_and_gauges_are_skipped_by_the_gate() {
         // One assertion per non-timing class under obs/.
-        assert!(is_non_timing("obs/window_cache/hits")); // counter
+        assert!(is_non_timing("obs/feature_cache/hits")); // counter
         assert!(is_non_timing("obs/parallel/threads")); // gauge
         assert!(is_non_timing("obs/stage/conv/forward/count")); // span tally
         assert!(is_non_timing("obs/stage/conv/forward/total_ns")); // span total
@@ -732,10 +693,10 @@ mod tests {
     #[test]
     fn regressions_skip_obs_counters_but_gate_obs_latencies() {
         let mut baseline = BenchJson::new();
-        baseline.record("obs/window_cache/hits", 10.0);
+        baseline.record("obs/feature_cache/hits", 10.0);
         baseline.record("obs/stage/conv/forward/p99", 100.0);
         let mut current = BenchJson::new();
-        current.record("obs/window_cache/hits", 1e6); // counter growth: fine
+        current.record("obs/feature_cache/hits", 1e6); // counter growth: fine
         current.record("obs/stage/conv/forward/p99", 500.0); // latency growth: gated
         let found = regressions(&baseline, &current, 2.0);
         assert_eq!(found.len(), 1);

@@ -24,12 +24,12 @@
 //!   [`sum`](LaneTree::sum) is the MUX tree's lane-wise routed sum.
 //! * [`LevelStreamCache`] — stream-level dedup for the bit-level reference
 //!   paths: one comparator conversion per *distinct* level.
-//! * [`WindowCache`] — window memoization above the fold: a bounded,
-//!   sharded LRU keyed by the quantized window level pattern whose value
-//!   is the full per-kernel pos/neg root-count output, so a repeated
-//!   window (backgrounds, recurring edges) skips the fold and the
-//!   [`ScratchPool`] checkout entirely. Enabled per engine via
-//!   [`WindowCacheMode`].
+//! * All-zero windows — a comparator SNG never emits a 1 at level 0, so
+//!   every level-0 row of a [`LevelCountTable`]
+//!   ([`level_is_zero`](LevelCountTable::level_is_zero)) is zero; the
+//!   fault-free conv engine reduces the all-level-0 window once at
+//!   construction and copies its outputs wherever it recurs (see
+//!   [`StochasticConvLayer`](crate::StochasticConvLayer)).
 //!
 //! # Lane words
 //!
@@ -84,10 +84,8 @@ use crate::arena::{and_count, StreamArena};
 use crate::Error;
 use scnn_sim::S0Policy;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::Mutex;
 
 /// Upper bound on AND-count table entries (`(2^b + 1) · taps · lanes`);
 /// configurations above it fall back to the streaming engines.
@@ -454,6 +452,17 @@ impl<W: LaneWord> LevelCountTable<W> {
     /// [`gather`](Self::gather) expects of its output slices.
     pub fn row_words(&self) -> usize {
         self.row_words
+    }
+
+    /// Whether every stored count of comparator level `level` is zero —
+    /// true of level 0 for any comparator SNG, which never emits a 1 there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is out of range.
+    pub fn level_is_zero(&self, level: usize) -> bool {
+        let rows = self.taps * self.row_words;
+        self.lut[level * rows..(level + 1) * rows].iter().all(|&w| w == W::ZERO)
     }
 
     /// One stored count, unpacked (test and diagnostic access).
@@ -1159,519 +1168,6 @@ impl LevelStreamCache {
     }
 }
 
-/// Lock shards of a [`WindowCache`]. A key's shard is a pure function of
-/// its bytes, so worker threads mostly lock disjoint shards and a given
-/// window always lands in the same shard regardless of thread count.
-const WINDOW_CACHE_SHARDS: usize = 8;
-
-/// Environment variable the bench bins read to force window memoization on
-/// or off without editing scenario tables (see
-/// [`WindowCacheMode::from_env_value`]).
-pub const WINDOW_CACHE_ENV: &str = "SCNN_WINDOW_CACHE";
-
-/// Whether (and how large) a [`StochasticConvLayer`](crate::StochasticConvLayer)
-/// keeps a [`WindowCache`] — the window-memoization knob on
-/// [`ScOptions`](crate::ScOptions) and
-/// [`ScenarioSpec`](crate::ScenarioSpec).
-///
-/// `Off` (the default, and what every preset uses) keeps the recorded
-/// tables and timings unchanged. `Entries(n)` bounds the cache to `n`
-/// memoized windows across all shards, evicted least-recently-used;
-/// `Entries(0)` is rejected at validation. Like an explicit
-/// [`LaneWidth`], a non-`Off` mode on a configuration without the
-/// count-domain path (MUX adder, fault injection, oversized table) is a
-/// configuration error rather than a silent fallback.
-///
-/// # Example
-///
-/// ```
-/// use scnn_core::counts::WindowCacheMode;
-///
-/// assert_eq!(WindowCacheMode::default(), WindowCacheMode::Off);
-/// assert_eq!(WindowCacheMode::on(), WindowCacheMode::Entries(65536));
-/// assert!(WindowCacheMode::Entries(0).validate().is_err());
-/// // The bins parse SCNN_WINDOW_CACHE through the same grammar:
-/// assert_eq!(WindowCacheMode::from_env_value("off").unwrap(), WindowCacheMode::Off);
-/// assert_eq!(WindowCacheMode::from_env_value("256").unwrap(), WindowCacheMode::Entries(256));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WindowCacheMode {
-    /// No memoization — every window folds (the default).
-    #[default]
-    Off,
-    /// Memoize up to this many windows, evicting least-recently-used.
-    Entries(usize),
-}
-
-impl WindowCacheMode {
-    /// Default entry budget of [`on`](Self::on): sized for dataset-scale
-    /// working sets, not one image. A 64-image pass over noisy synthetic
-    /// digits produces ~30–50k distinct 5×5 windows (real MNIST far
-    /// fewer — its background is exactly zero), and a budget below the
-    /// working set thrashes the LRU into pure overhead; 65536 entries
-    /// (~20 MB at 32 kernels) holds those working sets comfortably.
-    pub const DEFAULT_ENTRIES: usize = 65536;
-
-    /// Memoization at the default budget
-    /// ([`DEFAULT_ENTRIES`](Self::DEFAULT_ENTRIES)).
-    pub fn on() -> Self {
-        Self::Entries(Self::DEFAULT_ENTRIES)
-    }
-
-    /// Whether memoization is requested.
-    pub fn is_on(self) -> bool {
-        self != Self::Off
-    }
-
-    /// The entry budget, or `None` when off.
-    pub fn entries(self) -> Option<usize> {
-        match self {
-            Self::Off => None,
-            Self::Entries(n) => Some(n),
-        }
-    }
-
-    /// Rejects the degenerate budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] for `Entries(0)` (use [`Off`](Self::Off)
-    /// to disable memoization explicitly).
-    pub fn validate(self) -> Result<(), Error> {
-        if self == Self::Entries(0) {
-            return Err(Error::config(
-                "window_cache entry budget must be at least 1 (use Off to disable)",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Parses the [`WINDOW_CACHE_ENV`] grammar the bench bins accept:
-    /// `off`/`0` disable, `on`/`1` enable at the default budget, and any
-    /// other positive integer is an explicit entry budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] for anything else.
-    pub fn from_env_value(value: &str) -> Result<Self, Error> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "" => Ok(Self::Off),
-            "on" | "1" => Ok(Self::on()),
-            other => match other.parse::<usize>() {
-                Ok(n) if n > 0 => Ok(Self::Entries(n)),
-                _ => Err(Error::config(format!(
-                    "{WINDOW_CACHE_ENV} must be off/0, on/1 or a positive entry budget, \
-                     got {value:?}"
-                ))),
-            },
-        }
-    }
-}
-
-impl fmt::Display for WindowCacheMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Off => f.write_str("off"),
-            Self::Entries(n) => write!(f, "{n} entries"),
-        }
-    }
-}
-
-/// Hit/miss/eviction counters of a [`WindowCache`].
-///
-/// The counters are diagnostics, not part of the memoized values: cached
-/// fold outputs are pure functions of their keys, so forward outputs are
-/// byte-identical for any interleaving, but which thread scores a given
-/// hit can vary with `SCNN_THREADS`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to the fold.
-    pub misses: u64,
-    /// Entries displaced to stay within the budget.
-    pub evictions: u64,
-}
-
-impl WindowCacheStats {
-    /// Hits as a fraction of all lookups (`0.0` when none were made).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use scnn_core::counts::WindowCacheStats;
-    ///
-    /// let stats = WindowCacheStats { hits: 3, misses: 1, evictions: 0 };
-    /// assert_eq!(stats.hit_rate(), 0.75);
-    /// assert_eq!(WindowCacheStats::default().hit_rate(), 0.0);
-    /// ```
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Counter deltas since an earlier snapshot (per-dataset reporting).
-    pub fn since(&self, earlier: WindowCacheStats) -> WindowCacheStats {
-        WindowCacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
-        }
-    }
-}
-
-/// Index sentinel of the intrusive age list ("no slot").
-const NO_SLOT: u32 = u32::MAX;
-
-/// One memoized window: its key and value, threaded on the shard's
-/// doubly-linked age list (most-recent at the head).
-#[derive(Debug)]
-struct WindowSlot {
-    key: Box<[u8]>,
-    value: Box<[u16]>,
-    prev: u32,
-    next: u32,
-}
-
-/// One lock shard of a [`WindowCache`]: a hash map from key to slot index
-/// plus an intrusive LRU age list over the slot arena — the hand-rolled
-/// equivalent of an `LruCache`, kept crate-local under the same vendoring
-/// discipline as `vendor/rand`.
-#[derive(Debug, Default)]
-struct WindowShard {
-    /// Entry budget of this shard (the cache budget split across shards).
-    cap: usize,
-    map: HashMap<Box<[u8]>, u32>,
-    slots: Vec<WindowSlot>,
-    /// Most-recently-used slot index, [`NO_SLOT`] when empty.
-    head: u32,
-    /// Least-recently-used slot index, [`NO_SLOT`] when empty.
-    tail: u32,
-}
-
-impl WindowShard {
-    fn new(cap: usize) -> Self {
-        Self { cap, map: HashMap::new(), slots: Vec::new(), head: NO_SLOT, tail: NO_SLOT }
-    }
-
-    /// Detaches slot `i` from the age list.
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = (self.slots[i as usize].prev, self.slots[i as usize].next);
-        match prev {
-            NO_SLOT => self.head = next,
-            p => self.slots[p as usize].next = next,
-        }
-        match next {
-            NO_SLOT => self.tail = prev,
-            n => self.slots[n as usize].prev = prev,
-        }
-    }
-
-    /// Attaches slot `i` at the most-recently-used end.
-    fn push_front(&mut self, i: u32) {
-        self.slots[i as usize].prev = NO_SLOT;
-        self.slots[i as usize].next = self.head;
-        match self.head {
-            NO_SLOT => self.tail = i,
-            h => self.slots[h as usize].prev = i,
-        }
-        self.head = i;
-    }
-
-    /// Copies the value for `key` into `out` and refreshes its age, if
-    /// present.
-    fn get_into(&mut self, key: &[u8], out: &mut [u16]) -> bool {
-        let Some(&i) = self.map.get(key) else { return false };
-        out.copy_from_slice(&self.slots[i as usize].value);
-        if self.head != i {
-            self.unlink(i);
-            self.push_front(i);
-        }
-        true
-    }
-
-    /// Inserts (or refreshes) `key → value`; returns whether an older
-    /// entry was evicted to make room.
-    fn insert(&mut self, key: &[u8], value: &[u16]) -> bool {
-        if self.cap == 0 {
-            return false;
-        }
-        if let Some(&i) = self.map.get(key) {
-            // Another worker memoized the same window between our miss and
-            // this insert; the value is identical by construction.
-            if self.head != i {
-                self.unlink(i);
-                self.push_front(i);
-            }
-            return false;
-        }
-        if self.slots.len() < self.cap {
-            let i = self.slots.len() as u32;
-            self.slots.push(WindowSlot {
-                key: key.into(),
-                value: value.into(),
-                prev: NO_SLOT,
-                next: NO_SLOT,
-            });
-            self.map.insert(key.into(), i);
-            self.push_front(i);
-            return false;
-        }
-        // Budget reached: recycle the least-recently-used slot in place.
-        let i = self.tail;
-        self.unlink(i);
-        let slot = &mut self.slots[i as usize];
-        let old_key = std::mem::replace(&mut slot.key, key.into());
-        slot.value.copy_from_slice(value);
-        self.map.remove(&old_key);
-        self.map.insert(key.into(), i);
-        self.push_front(i);
-        true
-    }
-}
-
-/// FNV-1a over the key bytes — the shard selector. Deterministic (unlike
-/// the map's per-process-seeded hasher), so a key's shard never depends on
-/// process or thread identity.
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// A bounded LRU cache of adder-tree fold outputs keyed by the quantized
-/// window level pattern — the Hashlife idea applied to the count-domain
-/// conv: natural-image 5×5 windows are heavy-tailed (backgrounds and a
-/// small set of edge patterns repeat constantly), and against a fixed
-/// table the pos/neg root counts are pure functions of the window's pixel
-/// levels, so a hit skips the entire fold *and* the [`ScratchPool`]
-/// checkout.
-///
-/// # Key and value scheme
-///
-/// The key is the window's `ksize²` pixel levels as little-endian `u16`
-/// tags (`level + 1`; `0` marks an out-of-image tap), byte-packed — valid
-/// for every count-path precision (≤ 14 bit, so `level + 1 ≤ 16385`).
-/// Table identity is enforced by ownership: each engine owns its cache
-/// (clones share it via `Arc`, and share the identical table), so keys
-/// never mix tables. The value is the full per-kernel fold output: `2 ·
-/// kernels` root counts, positive tree then negative.
-///
-/// # Sharding, budget and determinism
-///
-/// Entries live in [`WINDOW_CACHE_SHARDS`] independently locked LRU
-/// shards; a key's shard is a pure function of its bytes, so concurrent
-/// workers mostly lock disjoint shards and any `SCNN_THREADS` setting
-/// sees the same shard layout. The entry budget is split across shards
-/// (remainder to the low shards), each evicting least-recently-used
-/// independently — a budget below [`WINDOW_CACHE_SHARDS`] leaves some
-/// shards with zero capacity, whose keys simply always miss. Because
-/// values are pure functions of keys, eviction and interleaving affect
-/// only the [`stats`](Self::stats) counters — never the forward output,
-/// which stays byte-identical for any thread count.
-///
-/// # Example
-///
-/// ```
-/// use scnn_core::counts::WindowCache;
-///
-/// # fn main() -> Result<(), scnn_core::Error> {
-/// // 16 entries (2 per shard), 4-byte keys, 3-lane values.
-/// let cache = WindowCache::new(16, 4, 3)?;
-/// let mut out = [0u16; 3];
-/// assert!(!cache.get_into(b"key1", &mut out)); // cold miss
-/// cache.insert(b"key1", &[7, 8, 9]);
-/// assert!(cache.get_into(b"key1", &mut out)); // hit
-/// assert_eq!(out, [7, 8, 9]);
-/// let stats = cache.stats();
-/// assert_eq!((stats.hits, stats.misses), (1, 1));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct WindowCache {
-    shards: Vec<Mutex<WindowShard>>,
-    budget: usize,
-    key_len: usize,
-    value_len: usize,
-    // Per-instance counters on the scnn_obs primitive (sharded, exact
-    // totals); `stats()` reads these.
-    hits: scnn_obs::Counter,
-    misses: scnn_obs::Counter,
-    evictions: scnn_obs::Counter,
-    // Process-global registry mirrors, resolved once at construction and
-    // bumped only when SCNN_METRICS is on — the cross-cache totals the
-    // `obs/window_cache/*` BENCH.json keys report.
-    global: GlobalWindowCounters,
-}
-
-/// Registry handles mirroring every [`WindowCache`]'s counters.
-#[derive(Debug, Clone, Copy)]
-struct GlobalWindowCounters {
-    hits: &'static scnn_obs::Counter,
-    misses: &'static scnn_obs::Counter,
-    evictions: &'static scnn_obs::Counter,
-}
-
-impl GlobalWindowCounters {
-    fn resolve() -> Self {
-        let registry = scnn_obs::registry();
-        Self {
-            hits: registry.counter("window_cache/hits"),
-            misses: registry.counter("window_cache/misses"),
-            evictions: registry.counter("window_cache/evictions"),
-        }
-    }
-}
-
-impl WindowCache {
-    /// A cache bounded to `entries` memoized windows, over `key_len`-byte
-    /// keys and `value_len`-lane values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] when `entries`, `key_len` or `value_len`
-    /// is zero.
-    pub fn new(entries: usize, key_len: usize, value_len: usize) -> Result<Self, Error> {
-        if entries == 0 || key_len == 0 || value_len == 0 {
-            return Err(Error::config(
-                "WindowCache needs a positive entry budget, key length and value length",
-            ));
-        }
-        let shards = (0..WINDOW_CACHE_SHARDS)
-            .map(|i| {
-                // Split the budget across shards, remainder to the low ones,
-                // so the shard caps sum to exactly `entries`.
-                let cap =
-                    entries / WINDOW_CACHE_SHARDS + usize::from(i < entries % WINDOW_CACHE_SHARDS);
-                Mutex::new(WindowShard::new(cap))
-            })
-            .collect();
-        Ok(Self {
-            shards,
-            budget: entries,
-            key_len,
-            value_len,
-            hits: scnn_obs::Counter::default(),
-            misses: scnn_obs::Counter::default(),
-            evictions: scnn_obs::Counter::default(),
-            global: GlobalWindowCounters::resolve(),
-        })
-    }
-
-    /// The entry budget across all shards.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Key length in bytes (`2 · ksize²` for the conv engine).
-    pub fn key_len(&self) -> usize {
-        self.key_len
-    }
-
-    /// Value length in lanes (`2 · kernels` for the conv engine).
-    pub fn value_len(&self) -> usize {
-        self.value_len
-    }
-
-    /// Memoized windows currently held (never exceeds
-    /// [`budget`](Self::budget)).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| self.lock(s).map.len()).sum()
-    }
-
-    /// Whether no window has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn lock<'a>(&self, shard: &'a Mutex<WindowShard>) -> std::sync::MutexGuard<'a, WindowShard> {
-        // A poisoned shard only means another worker panicked mid-insert;
-        // the map/list state is updated atomically with respect to panics
-        // (no unwinding between linked mutations), so keep serving.
-        shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn shard_for(&self, key: &[u8]) -> &Mutex<WindowShard> {
-        &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize]
-    }
-
-    /// Copies the memoized fold output for `key` into `out` (length
-    /// [`value_len`](Self::value_len)) and returns `true`, or records a
-    /// miss and returns `false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` or `out` disagree with the constructed lengths.
-    pub fn get_into(&self, key: &[u8], out: &mut [u16]) -> bool {
-        assert_eq!(key.len(), self.key_len, "window key length mismatch");
-        assert_eq!(out.len(), self.value_len, "window value length mismatch");
-        let hit = self.lock(self.shard_for(key)).get_into(key, out);
-        if hit {
-            self.hits.add(1);
-        } else {
-            self.misses.add(1);
-        }
-        if scnn_obs::metrics_enabled() {
-            if hit {
-                self.global.hits.add(1);
-            } else {
-                self.global.misses.add(1);
-            }
-        }
-        hit
-    }
-
-    /// Memoizes `key → value`, evicting the shard's least-recently-used
-    /// entry when its budget is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` or `value` disagree with the constructed lengths.
-    pub fn insert(&self, key: &[u8], value: &[u16]) {
-        assert_eq!(key.len(), self.key_len, "window key length mismatch");
-        assert_eq!(value.len(), self.value_len, "window value length mismatch");
-        if self.lock(self.shard_for(key)).insert(key, value) {
-            self.evictions.add(1);
-            if scnn_obs::metrics_enabled() {
-                self.global.evictions.add(1);
-            }
-        }
-    }
-
-    /// A snapshot of the hit/miss/eviction counters.
-    ///
-    /// The counters are [`scnn_obs::Counter`]s; when `SCNN_METRICS` is on
-    /// every lookup also bumps the process-global `window_cache/hits`,
-    /// `window_cache/misses` and `window_cache/evictions` registry counters,
-    /// so dataset hit rates surface in the `obs/` exports alongside the
-    /// per-stage histograms.
-    pub fn stats(&self) -> WindowCacheStats {
-        WindowCacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-        }
-    }
-
-    /// Zeroes the per-instance counters (entries stay memoized) — lets
-    /// benches measure per-dataset hit rates on a warm cache. The global
-    /// registry mirrors are left alone; reset those with
-    /// [`scnn_obs::MetricsRegistry::reset`].
-    pub fn reset_stats(&self) {
-        self.hits.reset();
-        self.misses.reset();
-        self.evictions.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2015,127 +1511,6 @@ mod tests {
             assert_eq!(cache.words(level), direct.stream(0), "level={level}");
         }
     }
-
-    #[test]
-    fn window_cache_mode_grammar_and_validation() {
-        assert_eq!(WindowCacheMode::default(), WindowCacheMode::Off);
-        assert!(!WindowCacheMode::Off.is_on());
-        assert!(WindowCacheMode::on().is_on());
-        assert_eq!(WindowCacheMode::on().entries(), Some(WindowCacheMode::DEFAULT_ENTRIES));
-        assert_eq!(WindowCacheMode::Off.entries(), None);
-        assert!(WindowCacheMode::Off.validate().is_ok());
-        assert!(WindowCacheMode::Entries(1).validate().is_ok());
-        assert!(WindowCacheMode::Entries(0).validate().is_err());
-        for (value, expect) in [
-            ("off", WindowCacheMode::Off),
-            ("0", WindowCacheMode::Off),
-            ("", WindowCacheMode::Off),
-            ("on", WindowCacheMode::on()),
-            ("1", WindowCacheMode::on()),
-            (" ON ", WindowCacheMode::on()),
-            ("256", WindowCacheMode::Entries(256)),
-        ] {
-            assert_eq!(WindowCacheMode::from_env_value(value).unwrap(), expect, "{value:?}");
-        }
-        assert!(WindowCacheMode::from_env_value("sometimes").is_err());
-        assert!(WindowCacheMode::from_env_value("-3").is_err());
-        assert_eq!(WindowCacheMode::Off.to_string(), "off");
-        assert_eq!(WindowCacheMode::Entries(7).to_string(), "7 entries");
-    }
-
-    #[test]
-    fn window_cache_hits_misses_and_stats() {
-        let cache = WindowCache::new(16, 2, 3).unwrap();
-        assert_eq!(cache.budget(), 16);
-        assert_eq!(cache.key_len(), 2);
-        assert_eq!(cache.value_len(), 3);
-        assert!(cache.is_empty());
-        let mut out = [0u16; 3];
-        assert!(!cache.get_into(&[1, 0], &mut out));
-        cache.insert(&[1, 0], &[10, 20, 30]);
-        cache.insert(&[2, 0], &[40, 50, 60]);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get_into(&[1, 0], &mut out));
-        assert_eq!(out, [10, 20, 30]);
-        assert!(cache.get_into(&[2, 0], &mut out));
-        assert_eq!(out, [40, 50, 60]);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 1, 0));
-        assert_eq!(stats.hit_rate(), 2.0 / 3.0);
-        // Reset clears counters but keeps entries memoized.
-        cache.reset_stats();
-        assert_eq!(cache.stats(), WindowCacheStats::default());
-        assert!(cache.get_into(&[1, 0], &mut out));
-        assert_eq!(cache.len(), 2);
-        // Delta snapshots subtract counter-wise.
-        let later = WindowCacheStats { hits: 5, misses: 3, evictions: 1 };
-        let earlier = WindowCacheStats { hits: 2, misses: 3, evictions: 0 };
-        assert_eq!(later.since(earlier), WindowCacheStats { hits: 3, misses: 0, evictions: 1 });
-    }
-
-    #[test]
-    fn window_cache_evicts_least_recently_used() {
-        // Budget 1 puts at most one entry in one shard (the other shards
-        // have capacity 0 and simply never store), so same-shard LRU order
-        // is forced for colliding keys; exercise the age list through a
-        // larger cache with keys that share a shard by construction.
-        let cache = WindowCache::new(WINDOW_CACHE_SHARDS * 2, 2, 1).unwrap();
-        // Collect keys landing in one shard until three share it.
-        let shard_of = |key: &[u8]| fnv1a(key) % WINDOW_CACHE_SHARDS as u64;
-        let mut same: Vec<[u8; 2]> = Vec::new();
-        let mut b = 0u16;
-        while same.len() < 3 {
-            let key = b.to_le_bytes();
-            if same.is_empty() || shard_of(&key) == shard_of(&same[0]) {
-                same.push(key);
-            }
-            b += 1;
-        }
-        let (a, bk, c) = (same[0], same[1], same[2]);
-        // That shard holds exactly 2 entries (budget split evenly).
-        cache.insert(&a, &[1]);
-        cache.insert(&bk, &[2]);
-        let mut out = [0u16; 1];
-        // Touch `a` so `b` is the least recently used…
-        assert!(cache.get_into(&a, &mut out));
-        cache.insert(&c, &[3]);
-        // …and gets evicted by `c`.
-        assert!(cache.get_into(&a, &mut out));
-        assert!(cache.get_into(&c, &mut out));
-        assert!(!cache.get_into(&bk, &mut out));
-        assert_eq!(cache.stats().evictions, 1);
-        // Re-inserting an existing key refreshes, never evicts or grows.
-        let len = cache.len();
-        cache.insert(&a, &[1]);
-        assert_eq!(cache.len(), len);
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn window_cache_stays_within_budget_under_churn() {
-        for budget in [1usize, 3, 8, 17] {
-            let cache = WindowCache::new(budget, 2, 1).unwrap();
-            for i in 0..200u16 {
-                cache.insert(&i.to_le_bytes(), &[i]);
-                assert!(cache.len() <= budget, "budget={budget}");
-            }
-            // A hit must return exactly what was inserted for that key.
-            let mut out = [0u16; 1];
-            for i in 0..200u16 {
-                if cache.get_into(&i.to_le_bytes(), &mut out) {
-                    assert_eq!(out, [i], "budget={budget}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn window_cache_rejects_degenerate_shapes() {
-        assert!(WindowCache::new(0, 2, 1).is_err());
-        assert!(WindowCache::new(4, 0, 1).is_err());
-        assert!(WindowCache::new(4, 2, 0).is_err());
-    }
-
     #[test]
     fn live_fold_node_matches_the_fold_walk() {
         // Enumerate live nodes by re-walking the fold's level loop and
@@ -2245,40 +1620,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn window_cache_recovers_from_a_poisoned_shard() {
-        use std::sync::Arc;
-        let cache = Arc::new(WindowCache::new(WINDOW_CACHE_SHARDS * 2, 2, 1).unwrap());
-        // Find two keys on shard 0: one inserted before the poison, one
-        // after, so both the hit path and the insert path are exercised
-        // across the recovery.
-        let mut on_shard0 = Vec::new();
-        let mut b = 0u16;
-        while on_shard0.len() < 2 {
-            if fnv1a(&b.to_le_bytes()).is_multiple_of(WINDOW_CACHE_SHARDS as u64) {
-                on_shard0.push(b.to_le_bytes());
-            }
-            b += 1;
-        }
-        cache.insert(&on_shard0[0], &[7]);
-        // Panic a thread while it holds shard 0's guard — the classic
-        // poisoning scenario a worker panic mid-lookup would produce.
-        let poisoner = Arc::clone(&cache);
-        let handle = std::thread::spawn(move || {
-            let _guard = poisoner.shards[0].lock().unwrap();
-            panic!("poison shard 0 on purpose");
-        });
-        assert!(handle.join().is_err(), "the poisoning thread must panic");
-        assert!(cache.shards[0].lock().is_err(), "shard 0 must actually be poisoned");
-        // Subsequent callers recover the guard: the pre-poison entry is
-        // still readable and new inserts land.
-        let mut out = [0u16; 1];
-        assert!(cache.get_into(&on_shard0[0], &mut out));
-        assert_eq!(out, [7]);
-        cache.insert(&on_shard0[1], &[9]);
-        assert!(cache.get_into(&on_shard0[1], &mut out));
-        assert_eq!(out, [9]);
     }
 }

@@ -10,11 +10,9 @@
 //! dataset fingerprint to the `Arc`'d extracted feature [`Dataset`], so
 //! one extraction serves every scenario that shares an engine.
 //!
-//! Unlike the [`WindowCache`](crate::counts::WindowCache) — millions of
-//! tiny per-window entries behind sharded locks — this cache holds a
-//! handful of multi-megabyte feature sets, so a single mutex over an
-//! entry list is the right shape: the lock is touched twice per
-//! retraining run and never during extraction.
+//! The cache holds a handful of multi-megabyte feature sets, so a single
+//! mutex over an entry list is the right shape: the lock is touched twice
+//! per retraining run and never during extraction.
 
 use crate::scenario::ScenarioSpec;
 use crate::Error;
@@ -24,9 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Environment variable selecting the feature-cache mode for the bench
-/// harnesses (parsed by `scnn_bench::setup::feature_cache_env_mode`, same
-/// grammar as `SCNN_WINDOW_CACHE`: `off`/`0`, `on`/`1`, or an entry
-/// budget).
+/// harnesses (parsed by `scnn_bench::setup::feature_cache_env_mode`:
+/// `off`/`0`, `on`/`1`, or an entry budget).
 pub const FEATURE_CACHE_ENV: &str = "SCNN_FEATURE_CACHE";
 
 /// Default entry budget: one entry is a full extracted feature set
@@ -83,9 +80,9 @@ impl FeatureCacheMode {
 /// Cache key: the spec fields that determine the extracted feature values,
 /// plus a fingerprint of the dataset they are extracted over.
 ///
-/// Deliberately **excluded** are the bit-exact performance knobs —
-/// `lane_width` and `window_cache` change how fast the fold runs, never
-/// what it produces (property-tested elsewhere) — and `input_mode`, which
+/// Deliberately **excluded** are the bit-exact performance knob
+/// `lane_width` — it changes how fast the fold runs, never what it
+/// produces (property-tested elsewhere) — and `input_mode`, which
 /// only affects dense-layer compilation, not the conv head the retraining
 /// features come from. Scenarios differing only in those fields share one
 /// extraction.
@@ -328,11 +325,10 @@ impl FeatureCache {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioSpec;
-    use crate::WindowCacheMode;
     use scnn_nn::data::synthetic;
 
     #[test]
-    fn mode_parses_the_window_cache_grammar() {
+    fn mode_parses_the_env_grammar() {
         assert_eq!(FeatureCacheMode::from_env_value("off").unwrap(), FeatureCacheMode::Off);
         assert_eq!(FeatureCacheMode::from_env_value("0").unwrap(), FeatureCacheMode::Off);
         assert_eq!(FeatureCacheMode::from_env_value("on").unwrap(), FeatureCacheMode::on());
@@ -353,13 +349,9 @@ mod tests {
         let images = synthetic::generate(4, 1);
         let base = ScenarioSpec::this_work(6);
         let key = FeatureKey::new(&base, &images);
-        // lane_width and window_cache don't change feature values, so they
-        // must not split the cache.
-        let tuned = base
-            .customize()
-            .lane_width(crate::LaneWidth::U16)
-            .window_cache(WindowCacheMode::on())
-            .build();
+        // lane_width doesn't change feature values, so it must not split
+        // the cache.
+        let tuned = base.customize().lane_width(crate::LaneWidth::U16).build();
         assert_eq!(FeatureKey::new(&tuned, &images), key);
         // Feature-determining fields do split it…
         assert_ne!(FeatureKey::new(&ScenarioSpec::this_work(4), &images), key);

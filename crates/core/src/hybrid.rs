@@ -79,14 +79,7 @@ impl HybridLenet {
     /// instead, which never materializes them. Images are distributed over
     /// the [`parallel`](crate::parallel) worker threads (the engine is
     /// immutable and shared); item order is preserved, so the features are
-    /// identical for every `SCNN_THREADS` setting. An engine built with
-    /// window memoization
-    /// ([`WindowCacheMode`](crate::counts::WindowCacheMode)) shares its
-    /// [`WindowCache`](crate::counts::WindowCache) across all workers and
-    /// images here, so repeated window patterns — across one image, a
-    /// dataset pass, or many retraining epochs — skip their folds, and the
-    /// memoized values being pure functions of the window keys keeps the
-    /// output byte-identical for any thread count.
+    /// identical for every `SCNN_THREADS` setting.
     ///
     /// # Errors
     ///
@@ -290,42 +283,6 @@ mod tests {
         assert_eq!(features.labels(), ds.labels());
         // Pooled sign features stay ternary.
         assert!(features.item(0).iter().all(|&v| v == -1.0 || v == 0.0 || v == 1.0));
-    }
-
-    #[test]
-    fn window_cache_stays_warm_across_dataset_extraction() {
-        use crate::counts::WindowCacheMode;
-        use crate::ScenarioSpec;
-
-        let cfg = LenetConfig::default();
-        let head_net = lenet5_head(&cfg).unwrap();
-        let conv = head_net.layer(0).unwrap().as_any().downcast_ref::<Conv2d>().unwrap().clone();
-        let spec =
-            ScenarioSpec::this_work(4).customize().window_cache(WindowCacheMode::on()).build();
-        let engine = spec.stochastic_conv(&conv).unwrap();
-        let stats_handle = engine.window_cache().unwrap();
-        let cached = HybridLenet::new(Box::new(engine.clone()), lenet5_tail(&cfg).unwrap());
-        let plain = HybridLenet::new(
-            Box::new(ScenarioSpec::this_work(4).stochastic_conv(&conv).unwrap()),
-            lenet5_tail(&cfg).unwrap(),
-        );
-        let ds = synthetic::generate(10, 11);
-        let expect = plain.extract_features(&ds).unwrap();
-        let first = cached.extract_features(&ds).unwrap();
-        for i in 0..ds.len() {
-            assert_eq!(first.item(i), expect.item(i), "image {i}");
-        }
-        let cold = stats_handle.stats();
-        assert_eq!(cold.hits + cold.misses, 10 * 784);
-        // A second pass runs against the warm cache: strictly more hits
-        // per lookup than the cold pass (synthetic digits repeat windows).
-        let second = cached.extract_features(&ds).unwrap();
-        for i in 0..ds.len() {
-            assert_eq!(second.item(i), expect.item(i), "image {i}");
-        }
-        let warm = stats_handle.stats().since(cold);
-        assert_eq!(warm.hits + warm.misses, 10 * 784);
-        assert!(warm.hits > cold.hits, "warm {warm:?} vs cold {cold:?}");
     }
 
     #[test]

@@ -2,8 +2,8 @@ use crate::arena::{and_count, mux_words, StreamArena};
 use crate::baseline::{ternary, window_taps, FirstLayer, KernelBank, IMAGE_SIDE};
 use crate::counts::{
     fold_tree_counts_wide, fold_tree_counts_wide_stuck, live_fold_node, table_fits,
-    AnyLevelCountTable, LaneWidth, LaneWord, LevelCountTable, LevelStreamCache, PooledTree,
-    ScratchPool, WindowCache, WindowCacheMode, WindowCacheStats,
+    AnyLevelCountTable, LaneTree, LaneWidth, LaneWord, LevelCountTable, LevelStreamCache,
+    ScratchPool,
 };
 use crate::faults::{gather_faulted, AnyCountFaultPlan, ImageFaults};
 use crate::Error;
@@ -100,12 +100,6 @@ pub struct ScOptions {
     /// lane ceiling); an explicit width turns that fallback into a
     /// construction error.
     pub lane_width: LaneWidth,
-    /// Window memoization ([`WindowCache`]): `Off` in every preset;
-    /// a budgeted mode memoizes per-window fold outputs and is a
-    /// construction error on configurations without the fault-free TFF
-    /// count-domain path (MUX adder, any fault model, oversized table —
-    /// a faulted fold is not a pure function of the window key).
-    pub window_cache: WindowCacheMode,
 }
 
 impl ScOptions {
@@ -121,7 +115,6 @@ impl ScOptions {
             fault: FaultModel::None,
             seed: 42,
             lane_width: LaneWidth::Auto,
-            window_cache: WindowCacheMode::Off,
         }
     }
 
@@ -137,7 +130,6 @@ impl ScOptions {
             fault: FaultModel::None,
             seed: 42,
             lane_width: LaneWidth::Auto,
-            window_cache: WindowCacheMode::Off,
         }
     }
 }
@@ -195,6 +187,18 @@ impl Default for ScOptions {
 /// beyond the 16-bit lane ceiling). The shared machinery lives in
 /// [`counts`](crate::counts) and also powers
 /// [`StochasticDenseLayer`](crate::StochasticDenseLayer).
+///
+/// # All-zero windows
+///
+/// A comparator SNG never emits a 1 at level 0, so every level-0 table row
+/// is zero and a window whose in-image taps are all level 0 (dark
+/// background; out-of-image taps are zero-filled alike) gathers the same
+/// all-zero counts wherever it sits. A fault-free engine reduces that
+/// window once at construction through its own gather and reducer — so the
+/// S0 policy and the bias offsets come out as the real fold gives them —
+/// and the window loop copies the stored outputs instead of gathering and
+/// folding again. Faulted engines always fold: bit errors and stuck-at
+/// sites perturb zero windows too.
 #[derive(Debug, Clone)]
 pub struct StochasticConvLayer {
     bank: KernelBank,
@@ -227,12 +231,10 @@ pub struct StochasticConvLayer {
     /// clones and worker threads (the stream is a pure function of the
     /// level against the fixed `pixel_seq`).
     level_streams: Arc<Mutex<LevelStreamCache>>,
-    /// Window memoization over the count-domain fold (`None` when
-    /// [`ScOptions::window_cache`] is `Off`). Shared by clones and worker
-    /// threads — the memoized values are pure functions of the window key
-    /// against this engine's table, so dataset evaluation and retraining
-    /// sweeps hit a warm cache from any thread.
-    window_cache: Option<Arc<WindowCache>>,
+    /// Per-kernel outputs of an all-level-0 window (see the type-level
+    /// docs); `None` without the count table, under any fault model, or if
+    /// a level-0 table row is not all zero.
+    zero_window: Option<Vec<f32>>,
 }
 
 impl StochasticConvLayer {
@@ -381,38 +383,9 @@ impl StochasticConvLayer {
             _ => None,
         };
 
-        // Window memoization rides on the fault-free TFF table: the
-        // memoized value is the fold of table gathers, so without the
-        // table there is nothing sound to key on — and a faulted fold is
-        // not a pure function of the window key (bit-error deltas vary per
-        // image and pixel position). The MUX engine is excluded outright.
-        // Requesting it on any of these is an error, mirroring the explicit
-        // lane-width contract above.
-        options.window_cache.validate()?;
-        let window_cache = match options.window_cache.entries() {
-            Some(_) if options.adder != AdderKind::Tff => {
-                return Err(Error::config(format!(
-                    "window_cache ({}) is only supported on the TFF adder",
-                    options.window_cache
-                )));
-            }
-            Some(entries) if lut.is_some() && options.fault.is_none() => {
-                Some(Arc::new(WindowCache::new(entries, 2 * ksq, 2 * bank.kernels)?))
-            }
-            Some(_) => {
-                return Err(Error::config(format!(
-                    "window_cache ({}) requires the fault-free count-domain path (TFF adder, \
-                     no fault injection, table within budget, stream counts within the 16-bit \
-                     lane ceiling)",
-                    options.window_cache
-                )));
-            }
-            None => None,
-        };
-
         let level_streams = Arc::new(Mutex::new(LevelStreamCache::new(&pixel_seq)?));
 
-        Ok(Self {
+        let mut engine = Self {
             bank,
             precision,
             options,
@@ -424,8 +397,12 @@ impl StochasticConvLayer {
             lut,
             fault_plan,
             level_streams,
-            window_cache,
-        })
+            zero_window: None,
+        };
+        if options.fault.is_none() {
+            engine.zero_window = engine.zero_window_outputs()?;
+        }
+        Ok(engine)
     }
 
     /// The operating precision.
@@ -542,47 +519,6 @@ impl StochasticConvLayer {
         self.lut.as_ref().map(AnyLevelCountTable::width)
     }
 
-    /// Whether window memoization is active
-    /// ([`ScOptions::window_cache`] non-`Off`; implies
-    /// [`uses_count_table`](Self::uses_count_table)).
-    pub fn uses_window_cache(&self) -> bool {
-        self.window_cache.is_some()
-    }
-
-    /// The engine's [`WindowCache`], when memoization is on. Clones share
-    /// the same cache (they share the identical count table), so a warm
-    /// cache serves every image, batch and retraining epoch.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use scnn_core::counts::WindowCacheMode;
-    /// use scnn_core::{FirstLayer, ScOptions, StochasticConvLayer};
-    /// use scnn_bitstream::Precision;
-    /// use scnn_nn::layers::{Conv2d, Padding};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let conv = Conv2d::new(1, 8, 5, Padding::Same, 42)?;
-    /// let opts = ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::this_work() };
-    /// let engine = StochasticConvLayer::from_conv(&conv, Precision::new(4)?, opts)?;
-    /// engine.forward_image(&vec![0.5f32; 784])?;
-    /// let stats = engine.window_cache().unwrap().stats();
-    /// // A uniform image folds one interior window and hits on the rest.
-    /// assert_eq!(stats.hits + stats.misses, 784);
-    /// assert!(stats.hits > 700);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn window_cache(&self) -> Option<&WindowCache> {
-        self.window_cache.as_deref()
-    }
-
-    /// Snapshot of the window-memoization counters, when memoization is
-    /// on (shorthand for [`window_cache`](Self::window_cache)`.stats()`).
-    pub fn window_cache_stats(&self) -> Option<WindowCacheStats> {
-        self.window_cache.as_deref().map(WindowCache::stats)
-    }
-
     /// The count-domain fast path: dispatches the configured lane width
     /// and the adder's reducer into the monomorphized window loop.
     /// `image_index` seeds the bit-error flip set (ignored when the engine
@@ -619,15 +555,91 @@ impl StochasticConvLayer {
         }
     }
 
+    /// The per-kernel outputs of an all-level-0 window, reduced once through
+    /// the engine's own gather and reducer; `None` without the count table
+    /// or if some level-0 table row is not all zero.
+    fn zero_window_outputs(&self) -> Result<Option<Vec<f32>>, Error> {
+        match &self.lut {
+            None => Ok(None),
+            Some(AnyLevelCountTable::U16(lut)) => self.zero_window_typed(lut),
+            Some(AnyLevelCountTable::U32(lut)) => self.zero_window_typed(lut),
+            Some(AnyLevelCountTable::U64(lut)) => self.zero_window_typed(lut),
+            Some(AnyLevelCountTable::U128(lut)) => self.zero_window_typed(lut),
+        }
+    }
+
+    /// [`zero_window_outputs`](Self::zero_window_outputs) over one
+    /// [`LaneWord`].
+    fn zero_window_typed<W: LaneWord>(
+        &self,
+        lut: &LevelCountTable<W>,
+    ) -> Result<Option<Vec<f32>>, Error> {
+        if !lut.level_is_zero(0) {
+            return Ok(None);
+        }
+        let (ksq, lanes) = (self.taps(), self.bank.kernels);
+        let policy = self.options.s0_policy;
+        let mut pos = LaneTree::<W>::new(ksq, lanes, policy, self.n)?;
+        let mut neg = LaneTree::<W>::new(ksq, lanes, policy, self.n)?;
+        for t in 0..ksq {
+            lut.gather(0, t, pos.tap_lanes_mut(t), neg.tap_lanes_mut(t));
+        }
+        match self.options.adder {
+            AdderKind::Tff => self.reduce::<W, false>(&mut pos, &mut neg, None),
+            AdderKind::Mux => self.reduce::<W, true>(&mut pos, &mut neg, None),
+        }
+        Ok(Some((0..lanes).map(|k| self.emit(k, pos.root_lane(k), neg.root_lane(k))).collect()))
+    }
+
+    /// Reduces one window's gathered trees: the MUX lane sum when
+    /// `LANE_SUM` is set, else the TFF fold with a stuck adder node pinned.
+    #[inline]
+    fn reduce<W: LaneWord, const LANE_SUM: bool>(
+        &self,
+        pos: &mut LaneTree<W>,
+        neg: &mut LaneTree<W>,
+        stuck: Option<(FaultSite, bool)>,
+    ) {
+        if LANE_SUM {
+            // MUX trees: the gathered counts are already masked by their
+            // leaf routes, which partition the clocks.
+            pos.sum();
+            neg.sum();
+        } else {
+            match stuck {
+                // A stuck TFF column pins one node of the positive tree (a
+                // systematic defect: the same physical adder in every
+                // window).
+                Some((FaultSite::AdderNode { node }, value)) => {
+                    pos.fold_stuck(node as usize, if value { self.n as u16 } else { 0 });
+                    neg.fold();
+                }
+                _ => {
+                    pos.fold();
+                    neg.fold();
+                }
+            }
+        }
+    }
+
+    /// Kernel `k`'s ternary output for root counts `pos` and `neg`: the
+    /// counter difference re-normalized to scaled dot-product units, plus
+    /// the bias comparator offset.
+    #[inline]
+    fn emit(&self, k: usize, pos: u16, neg: u16) -> f32 {
+        let diff = f32::from(pos) - f32::from(neg);
+        let v = diff * self.padded as f32 / self.n as f32 + self.bank.offsets[k];
+        ternary(v, self.options.soft_threshold)
+    }
+
     /// The count-domain fast path over one [`LaneWord`]: quantize each
     /// pixel once, gather per-tap AND counts for all kernels from the
     /// level-indexed table, and reduce both trees in packed kernel lanes
     /// on pooled scratch — the TFF fold, or the MUX lane sum when
     /// `LANE_SUM` is set (fixed per engine by its adder, so the window loop
-    /// never branches on it). With window memoization on, the fold runs
-    /// only for windows whose level pattern has not been seen — a hit
-    /// copies the memoized root counts, skipping the gathers, the fold and
-    /// (on a fully-hit image) the [`ScratchPool`] checkout entirely.
+    /// never branches on it). On a fault-free engine, a window whose
+    /// in-image taps are all level 0 copies the precomputed outputs and
+    /// skips the gathers and the reduction.
     fn forward_image_lut_typed<W: LaneWord, const LANE_SUM: bool>(
         &self,
         lut: &LevelCountTable<W>,
@@ -642,9 +654,6 @@ impl StochasticConvLayer {
             )));
         }
         let _forward = scnn_obs::span("conv/forward");
-        if scnn_obs::metrics_enabled() {
-            scnn_obs::registry().counter("conv/images").add(1);
-        }
         let bits = self.precision.bits();
         let lanes = self.bank.kernels;
         let levels: Vec<usize> = image.iter().map(|&v| pixel_level(v, bits) as usize).collect();
@@ -654,56 +663,37 @@ impl StochasticConvLayer {
         let faults: Option<ImageFaults<'_, W>> =
             self.fault_plan.as_ref().map(|p| p.typed::<W>().image_faults(&levels, image_index));
         let stuck = self.options.fault.stuck();
+        // Per output pixel: copy the precomputed all-zero-window outputs?
+        let zero = self.zero_window.as_deref().map(|z| (z, zero_windows(&levels, self.bank.ksize)));
         if scnn_obs::metrics_enabled() {
+            let registry = scnn_obs::registry();
+            registry.counter("conv/images").add(1);
             if let Some(f) = &faults {
-                scnn_obs::registry().counter("fault/injected").add(f.flips);
+                registry.counter("fault/injected").add(f.flips);
+            }
+            if let Some((_, is_zero)) = &zero {
+                let windows = is_zero.iter().filter(|&&z| z).count();
+                registry.counter("conv/zero_windows").add(windows as u64);
             }
         }
         let n_out = IMAGE_SIDE * IMAGE_SIDE;
-        let scale = self.padded as f32;
-        let n_f = self.n as f32;
         let mut out = vec![0.0f32; lanes * n_out];
         let ksq = self.bank.ksize * self.bank.ksize;
         let policy = self.options.s0_policy;
-        let cache = self.window_cache.as_deref();
-        // Window key: the ksize² pixel levels as little-endian u16 tags
-        // (level + 1; 0 marks an out-of-image tap). Count-path precisions
-        // are ≤ 14 bit, so level + 1 ≤ 16385 always fits.
-        let mut key = vec![0u8; 2 * ksq];
-        // Fold output per window: positive roots then negative, per kernel
-        // — exactly the WindowCache value layout.
-        let mut roots = vec![0u16; 2 * lanes];
-        let emit = |roots: &[u16], base: usize, out: &mut [f32]| {
-            for k in 0..lanes {
-                let diff = f32::from(roots[k]) - f32::from(roots[lanes + k]);
-                let v = diff * scale / n_f + self.bank.offsets[k];
-                out[k * n_out + base] = ternary(v, self.options.soft_threshold);
-            }
-        };
-        // Checked out lazily on the first miss, so a fully-hit image never
-        // touches the pool.
-        let mut trees: Option<(PooledTree<W>, PooledTree<W>)> = None;
+        let mut pos = ScratchPool::checkout::<W>(ksq, lanes, policy, self.n)?;
+        let mut neg = ScratchPool::checkout::<W>(ksq, lanes, policy, self.n)?;
         let _fold = scnn_obs::span("conv/fold");
         for oy in 0..IMAGE_SIDE {
             for ox in 0..IMAGE_SIDE {
                 let base = oy * IMAGE_SIDE + ox;
-                if let Some(cache) = cache {
-                    for (t, px) in window_taps(self.bank.ksize, oy, ox) {
-                        let tag = px.map_or(0u16, |p| levels[p] as u16 + 1);
-                        key[2 * t..2 * t + 2].copy_from_slice(&tag.to_le_bytes());
-                    }
-                    if cache.get_into(&key, &mut roots) {
-                        emit(&roots, base, &mut out);
+                if let Some((outputs, is_zero)) = &zero {
+                    if is_zero[base] {
+                        for (k, &v) in outputs.iter().enumerate() {
+                            out[k * n_out + base] = v;
+                        }
                         continue;
                     }
                 }
-                if trees.is_none() {
-                    trees = Some((
-                        ScratchPool::checkout::<W>(ksq, lanes, policy, self.n)?,
-                        ScratchPool::checkout::<W>(ksq, lanes, policy, self.n)?,
-                    ));
-                }
-                let (pos, neg) = trees.as_mut().expect("just checked out");
                 // Every tap's lanes are rewritten per window, which is the
                 // LaneTree reuse contract.
                 for (t, px) in window_taps(self.bank.ksize, oy, ox) {
@@ -746,34 +736,10 @@ impl StochasticConvLayer {
                         neg.tap_lanes_mut(t).fill(W::ZERO);
                     }
                 }
-                if LANE_SUM {
-                    // MUX trees: the gathered counts are already masked by
-                    // their leaf routes, which partition the clocks.
-                    pos.sum();
-                    neg.sum();
-                } else {
-                    match stuck {
-                        // A stuck TFF column pins one node of the positive
-                        // tree (a systematic defect: the same physical
-                        // adder in every window).
-                        Some((FaultSite::AdderNode { node }, value)) => {
-                            pos.fold_stuck(node as usize, if value { self.n as u16 } else { 0 });
-                            neg.fold();
-                        }
-                        _ => {
-                            pos.fold();
-                            neg.fold();
-                        }
-                    }
-                }
+                self.reduce::<W, LANE_SUM>(&mut pos, &mut neg, stuck);
                 for k in 0..lanes {
-                    roots[k] = pos.root_lane(k);
-                    roots[lanes + k] = neg.root_lane(k);
+                    out[k * n_out + base] = self.emit(k, pos.root_lane(k), neg.root_lane(k));
                 }
-                if let Some(cache) = cache {
-                    cache.insert(&key, &roots);
-                }
-                emit(&roots, base, &mut out);
             }
         }
         Ok(out)
@@ -958,6 +924,31 @@ fn mux_fold<'a>(
         width /= 2;
     }
     &cur[..w]
+}
+
+/// Per output pixel of a 28×28 image, whether every in-image tap of its
+/// `ksize × ksize` window (centred as in `window_taps`) has level 0: one
+/// summed-area table of nonzero levels, then an O(1) box sum per window.
+fn zero_windows(levels: &[usize], ksize: usize) -> Vec<bool> {
+    const S: usize = IMAGE_SIDE + 1;
+    let mut sat = vec![0u16; S * S];
+    for y in 0..IMAGE_SIDE {
+        let mut row = 0u16;
+        for x in 0..IMAGE_SIDE {
+            row += u16::from(levels[y * IMAGE_SIDE + x] != 0);
+            sat[(y + 1) * S + x + 1] = sat[y * S + x + 1] + row;
+        }
+    }
+    // In-image rows (columns) `lo..hi` of a window centred at `o`.
+    let pad = (ksize - 1) / 2;
+    let span = |o: usize| (o.saturating_sub(pad), (o + ksize - pad).min(IMAGE_SIDE));
+    (0..IMAGE_SIDE * IMAGE_SIDE)
+        .map(|p| {
+            let (y0, y1) = span(p / IMAGE_SIDE);
+            let (x0, x1) = span(p % IMAGE_SIDE);
+            sat[y1 * S + x1] + sat[y0 * S + x0] == sat[y0 * S + x1] + sat[y1 * S + x0]
+        })
+        .collect()
 }
 
 /// The route masks of both MUX trees: stream `tree · padded + t` holds the
@@ -1327,83 +1318,126 @@ mod tests {
     }
 
     #[test]
-    fn window_cache_forward_is_bit_exact_and_counts_lookups() {
-        for bits in [4u32, 6] {
-            let plain =
-                StochasticConvLayer::from_conv(&conv(), precision(bits), ScOptions::this_work())
-                    .unwrap();
-            let opts = ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::this_work() };
-            let cached = StochasticConvLayer::from_conv(&conv(), precision(bits), opts).unwrap();
-            assert!(cached.uses_window_cache());
-            assert!(!plain.uses_window_cache());
-            assert!(plain.window_cache_stats().is_none());
-            let img = test_image(u64::from(bits) * 3 + 1);
-            let expect = plain.forward_image(&img).unwrap();
-            assert_eq!(cached.forward_image(&img).unwrap(), expect, "bits={bits}");
-            let first = cached.window_cache_stats().unwrap();
-            assert_eq!(first.hits + first.misses, 784, "bits={bits}");
-            assert!(first.misses >= 1);
-            // The same image again hits on every window (budget is ample).
-            assert_eq!(cached.forward_image(&img).unwrap(), expect, "bits={bits}");
-            let second = cached.window_cache_stats().unwrap();
-            assert_eq!(second.misses, first.misses, "bits={bits}");
-            assert_eq!(second.hits, first.hits + 784, "bits={bits}");
-            assert_eq!(second.evictions, 0);
+    fn zero_window_outputs_match_the_oracle_for_every_source_and_adder() {
+        let sources = [
+            SourceKind::Ramp,
+            SourceKind::VanDerCorput,
+            SourceKind::Sobol2,
+            SourceKind::Lfsr,
+            SourceKind::Random,
+        ];
+        let blank = vec![0.0f32; 784];
+        for source in sources {
+            for preset in [ScOptions::this_work(), ScOptions::old_sc()] {
+                for bits in 2..=8u32 {
+                    let opts = ScOptions { pixel_source: source, weight_source: source, ..preset };
+                    let ctx = format!("{source:?} {:?} bits={bits}", preset.adder);
+                    let engine =
+                        StochasticConvLayer::from_conv(&conv(), precision(bits), opts).unwrap();
+                    // A comparator SNG never emits a 1 at level 0.
+                    let Some(AnyLevelCountTable::U64(lut)) = &engine.lut else {
+                        panic!("{ctx}: expected the u64 count table");
+                    };
+                    for t in 0..engine.taps() {
+                        for k in 0..engine.kernels() {
+                            assert_eq!(lut.count(0, t, k), 0, "{ctx} tap={t} kernel={k}");
+                        }
+                    }
+                    // The stored outputs are what the gate-level oracle
+                    // emits for every window of a blank frame, interior
+                    // and border alike, and the shortcut path agrees.
+                    let zero = engine.zero_window.as_ref().expect("fault-free engine");
+                    let oracle = engine.forward_image_streaming(&blank).unwrap();
+                    for (k, &v) in zero.iter().enumerate() {
+                        let maps = &oracle[k * 784..(k + 1) * 784];
+                        assert!(maps.iter().all(|&o| o == v), "{ctx} kernel={k}");
+                    }
+                    assert_eq!(engine.forward_image(&blank).unwrap(), oracle, "{ctx}");
+                    // Faulted engines never store the shortcut.
+                    let noisy = ScOptions { fault: FaultModel::BitError(0.01), ..opts };
+                    let noisy =
+                        StochasticConvLayer::from_conv(&conv(), precision(bits), noisy).unwrap();
+                    assert!(noisy.zero_window.is_none(), "{ctx}");
+                    if preset.adder == AdderKind::Tff {
+                        let site = FaultSite::LutTap { tap: 3 };
+                        let stuck =
+                            ScOptions { fault: FaultModel::StuckAt { site, value: false }, ..opts };
+                        let stuck = StochasticConvLayer::from_conv(&conv(), precision(bits), stuck)
+                            .unwrap();
+                        assert!(stuck.zero_window.is_none(), "{ctx}");
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn window_cache_is_bit_exact_under_eviction_churn() {
-        // A budget far below the distinct-window count forces eviction in
-        // the middle of the image; outputs must not change.
-        let plain =
+    fn zero_window_outputs_follow_the_bias() {
+        // The stored outputs come from the real fold, not a hard-coded 0:
+        // an all-zero tree folds to zero under every S0 policy, so the two
+        // roots tie and each kernel's bias comparator decides its sign.
+        let mut c = conv();
+        for (k, b) in c.bias_mut().data_mut().iter_mut().enumerate() {
+            *b = [-0.2, 0.0, 0.3][k % 3];
+        }
+        for policy in [S0Policy::AllZero, S0Policy::AllOne, S0Policy::Alternating] {
+            let opts = ScOptions { s0_policy: policy, ..ScOptions::this_work() };
+            let engine = StochasticConvLayer::from_conv(&c, precision(4), opts).unwrap();
+            let zero = engine.zero_window.as_ref().unwrap();
+            let expect: Vec<f32> = (0..8).map(|k| [-1.0, 0.0, 1.0][k % 3]).collect();
+            assert_eq!(zero, &expect, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn faulted_engines_still_fault_blank_frames() {
+        let blank = vec![0.0f32; 784];
+        let clean =
             StochasticConvLayer::from_conv(&conv(), precision(6), ScOptions::this_work()).unwrap();
-        let opts =
-            ScOptions { window_cache: WindowCacheMode::Entries(3), ..ScOptions::this_work() };
-        let tiny = StochasticConvLayer::from_conv(&conv(), precision(6), opts).unwrap();
-        let img = test_image(31);
-        assert_eq!(tiny.forward_image(&img).unwrap(), plain.forward_image(&img).unwrap());
-        let stats = tiny.window_cache_stats().unwrap();
-        assert!(stats.evictions > 0, "expected churn, got {stats:?}");
-        assert!(tiny.window_cache().unwrap().len() <= 3);
+        let expect = clean.forward_image(&blank).unwrap();
+        // Bit errors flip level-0 stream bits too: the plan samples flips
+        // on a blank frame and the output moves off the fault-free one.
+        let opts = ScOptions { fault: FaultModel::BitError(0.05), ..ScOptions::this_work() };
+        let noisy = StochasticConvLayer::from_conv(&conv(), precision(6), opts).unwrap();
+        let plan = noisy.fault_plan.as_ref().unwrap().typed::<u64>();
+        assert!(plan.image_faults(&[0; 784], 3).flips > 0);
+        assert_ne!(noisy.forward_image_indexed(&blank, 3).unwrap(), expect);
+        // A stuck-at-1 AND gate drives its line on every window.
+        let site = FaultSite::LutTap { tap: 12 };
+        let opts = ScOptions {
+            fault: FaultModel::StuckAt { site, value: true },
+            ..ScOptions::this_work()
+        };
+        let stuck = StochasticConvLayer::from_conv(&conv(), precision(6), opts).unwrap();
+        let out = stuck.forward_image(&blank).unwrap();
+        assert_ne!(out, expect);
+        assert_eq!(out, stuck.forward_image_streaming(&blank).unwrap());
     }
 
     #[test]
-    fn window_cache_requires_the_count_path() {
-        // The MUX engine has a table, but window memoization stays TFF-only.
-        let mux = ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::old_sc() };
-        let err = StochasticConvLayer::from_conv(&conv(), precision(4), mux).unwrap_err();
-        assert!(err.to_string().contains("TFF"), "{err}");
-        let noisy = ScOptions {
-            window_cache: WindowCacheMode::on(),
-            fault: FaultModel::BitError(0.01),
-            ..ScOptions::this_work()
-        };
-        assert!(StochasticConvLayer::from_conv(&conv(), precision(4), noisy).is_err());
-        let stuck = ScOptions {
-            window_cache: WindowCacheMode::on(),
-            fault: FaultModel::StuckAt { site: FaultSite::LutTap { tap: 0 }, value: true },
-            ..ScOptions::this_work()
-        };
-        assert!(StochasticConvLayer::from_conv(&conv(), precision(4), stuck).is_err());
-        let zero =
-            ScOptions { window_cache: WindowCacheMode::Entries(0), ..ScOptions::this_work() };
-        assert!(StochasticConvLayer::from_conv(&conv(), precision(4), zero).is_err());
-    }
-
-    #[test]
-    fn clones_share_one_window_cache() {
-        let opts = ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::this_work() };
-        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), opts).unwrap();
-        let clone = engine.clone();
-        let img = test_image(7);
-        engine.forward_image(&img).unwrap();
-        let warm = engine.window_cache_stats().unwrap();
-        // The clone sees the warm cache: same image, all hits.
-        clone.forward_image(&img).unwrap();
-        let after = clone.window_cache_stats().unwrap();
-        assert_eq!(after.misses, warm.misses);
-        assert_eq!(after.hits, warm.hits + 784);
+    fn zero_window_flags_match_the_window_taps() {
+        for ksize in [1usize, 3, 4, 5] {
+            for seed in 0..8u64 {
+                // Sparse lit pixels, corners and edges included.
+                let mut levels = vec![0usize; 784];
+                for p in [0, 27, 756, 783, 14, 392] {
+                    if (seed >> (p % 5)) & 1 == 1 {
+                        levels[p] = 1;
+                    }
+                }
+                for i in 0..3 {
+                    levels[((seed * 131 + i * 277) % 784) as usize] = 2;
+                }
+                let flags = zero_windows(&levels, ksize);
+                for oy in 0..IMAGE_SIDE {
+                    for ox in 0..IMAGE_SIDE {
+                        let expect = window_taps(ksize, oy, ox)
+                            .all(|(_, px)| px.is_none_or(|p| levels[p] == 0));
+                        assert_eq!(flags[oy * 28 + ox], expect, "ksize={ksize} ({oy}, {ox})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

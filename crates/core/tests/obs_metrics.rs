@@ -45,6 +45,7 @@ fn pass_snapshot(images: usize, threads: &str) -> BTreeMap<String, f64> {
 /// partition, which is exactly why work is counted in items.)
 const DETERMINISTIC_KEYS: &[&str] = &[
     "conv/images",
+    "conv/zero_windows",
     "nn/images_evaluated",
     "data/items_decoded",
     "stage/conv/forward/count",

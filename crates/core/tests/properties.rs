@@ -6,7 +6,7 @@ use scnn_core::counts::LaneTree;
 use scnn_core::{
     and_count, BinaryConvLayer, DenseInput, FirstLayer, FloatConvLayer, HybridLenet, LaneWidth,
     LaneWord, ScOptions, ScenarioSpec, SourceKind, StochasticConvLayer, StochasticDenseLayer,
-    StreamArena, WindowCacheMode,
+    StreamArena,
 };
 use scnn_nn::data::BatchSource;
 use scnn_nn::layers::{Conv2d, Dense, Padding};
@@ -485,54 +485,46 @@ proptest! {
         }
     }
 
-    /// Window memoization is bit-exact with the uncached fold for every
-    /// precision, lane width, and entry budget — including budgets tiny
-    /// enough to evict on nearly every insert. Three images flow through
-    /// one cached engine so hits from earlier images influence later ones,
-    /// and the cached output is also checked against the streaming
-    /// reference (the tentpole invariant of window memoization).
+    /// The all-zero-window shortcut is bit-exact: zero-background frames
+    /// with a few lit pixels — corners and edges included, so border
+    /// windows both take and miss the shortcut — and some dim pixels that
+    /// quantize to level 0 give the streaming reference's features bit for
+    /// bit, for both adders at every count-path precision.
     #[test]
-    fn window_cache_forward_is_bit_exact(
-        seed in 0u64..2_000,
-        bits in prop_oneof![Just(4u32), Just(6), Just(8)],
-        width in prop_oneof![
-            Just(LaneWidth::Auto),
-            Just(LaneWidth::U16),
-            Just(LaneWidth::U32),
-            Just(LaneWidth::U64),
-            Just(LaneWidth::U128)
+    fn zero_background_frames_match_streaming_engine(
+        conv_seed in any::<u64>(),
+        seed in any::<u64>(),
+        bits in 2u32..=8,
+        mux in any::<bool>(),
+        policy in prop_oneof![
+            Just(S0Policy::AllZero),
+            Just(S0Policy::AllOne),
+            Just(S0Policy::Alternating)
         ],
-        budget in prop_oneof![Just(1usize), Just(7), Just(64), Just(4096)],
+        border in 0u32..256,
+        lit in proptest::collection::vec((0usize..784, 0.0f32..=1.0), 0..6),
+        dim in 0.0f32..0.06,
     ) {
-        let conv = small_conv(seed % 31 + 1);
-        let precision = Precision::new(bits).unwrap();
-        let opts = |cache| ScOptions { lane_width: width, window_cache: cache, seed, ..ScOptions::this_work() };
-        let plain =
-            StochasticConvLayer::from_conv(&conv, precision, opts(WindowCacheMode::Off)).unwrap();
-        let cached = StochasticConvLayer::from_conv(
-            &conv,
-            precision,
-            opts(WindowCacheMode::Entries(budget)),
-        )
-        .unwrap();
-        prop_assert!(cached.uses_window_cache());
-        for i in 0..3u64 {
-            let image = image_from_seed(seed ^ (0xACE0 + i));
-            let expected = plain.forward_image(&image).unwrap();
-            let got = cached.forward_image(&image).unwrap();
-            prop_assert_eq!(&expected, &got, "image {} budget {}", i, budget);
-            if i == 0 {
-                prop_assert_eq!(
-                    &expected,
-                    &cached.forward_image_streaming(&image).unwrap(),
-                    "streaming reference"
-                );
+        let conv = small_conv(conv_seed);
+        let preset = if mux { ScOptions::old_sc() } else { ScOptions::this_work() };
+        let options = ScOptions { s0_policy: policy, seed, ..preset };
+        let engine =
+            StochasticConvLayer::from_conv(&conv, Precision::new(bits).unwrap(), options).unwrap();
+        prop_assert!(engine.uses_count_table());
+        let mut image = vec![0.0f32; 784];
+        // Corners, then the midpoints of the four edges.
+        for (i, p) in [0usize, 27, 756, 783, 14, 392, 419, 770].into_iter().enumerate() {
+            if border >> i & 1 == 1 {
+                image[p] = 1.0;
             }
         }
-        let stats = cached.window_cache_stats().unwrap();
-        prop_assert_eq!(stats.hits + stats.misses, 3 * 784);
-        let cache = cached.window_cache().unwrap();
-        prop_assert!(cache.len() <= budget, "len {} > budget {}", cache.len(), budget);
+        for (p, v) in lit {
+            image[p] = v;
+        }
+        image[(seed % 784) as usize] = dim;
+        let fast = engine.forward_image(&image).unwrap();
+        let reference = engine.forward_image_streaming(&image).unwrap();
+        prop_assert_eq!(fast, reference, "bits={} mux={} policy={:?}", bits, mux, policy);
     }
 
     /// All S0 policies and source pairings produce valid engines.

@@ -21,11 +21,21 @@ pub enum Error {
         /// Description of the failure.
         reason: String,
     },
+    /// An argument or a computed value is outside its domain: a zero batch
+    /// size, a NaN logit.
+    InvalidInput {
+        /// Description of the offending value.
+        reason: String,
+    },
 }
 
 impl Error {
     pub(crate) fn shape(expected: impl Into<String>, got: &[usize]) -> Self {
         Error::ShapeMismatch { expected: expected.into(), got: got.to_vec() }
+    }
+
+    pub(crate) fn invalid(reason: impl Into<String>) -> Self {
+        Error::InvalidInput { reason: reason.into() }
     }
 }
 
@@ -37,6 +47,7 @@ impl fmt::Display for Error {
             }
             Error::InvalidDataset { reason } => write!(f, "invalid dataset: {reason}"),
             Error::ParseIdx { reason } => write!(f, "failed to parse idx file: {reason}"),
+            Error::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
         }
     }
 }
@@ -53,5 +64,6 @@ mod tests {
         assert!(e.to_string().contains("[4]"));
         assert!(Error::InvalidDataset { reason: "x".into() }.to_string().contains("x"));
         assert!(Error::ParseIdx { reason: "magic".into() }.to_string().contains("magic"));
+        assert!(Error::invalid("NaN logit").to_string().contains("NaN logit"));
     }
 }

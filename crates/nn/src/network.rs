@@ -213,7 +213,8 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the layers, the source, or the loss.
+    /// Propagates shape errors from the layers, the source, or the loss;
+    /// returns [`Error::InvalidInput`] for a zero `batch_size`.
     ///
     /// [`train_epoch_threads`]: Self::train_epoch_threads
     pub fn train_epoch<S: BatchSource + ?Sized>(
@@ -249,7 +250,8 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the layers, the source, or the loss.
+    /// Propagates shape errors from the layers, the source, or the loss;
+    /// returns [`Error::InvalidInput`] for a zero `batch_size`.
     pub fn train_epoch_threads<S: BatchSource + ?Sized>(
         &mut self,
         source: &S,
@@ -258,7 +260,7 @@ impl Network {
         shuffle_seed: u64,
         threads: usize,
     ) -> Result<f32, Error> {
-        assert!(batch_size > 0, "batch size must be positive");
+        check_batch_size(batch_size)?;
         let _pass = scnn_obs::span("nn/train_epoch");
         let mut indices: Vec<usize> = (0..source.len()).collect();
         indices.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
@@ -349,22 +351,14 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates layer shape errors.
+    /// Propagates layer shape errors; returns [`Error::InvalidInput`] for
+    /// a NaN logit.
     pub fn predict(&mut self, input: &Tensor) -> Result<Vec<usize>, Error> {
         let logits = self.forward(input, false)?;
         let &[batch, classes] = logits.shape() else {
             return Err(Error::shape("[batch, classes] logits", logits.shape()));
         };
-        Ok((0..batch)
-            .map(|bi| {
-                let row = &logits.data()[bi * classes..(bi + 1) * classes];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("at least one class")
-            })
-            .collect())
+        (0..batch).map(|bi| argmax(&logits.data()[bi * classes..(bi + 1) * classes])).collect()
     }
 
     /// Classification accuracy and loss over a whole [`BatchSource`] —
@@ -380,13 +374,14 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates layer shape and source errors.
+    /// Propagates layer shape and source errors; returns
+    /// [`Error::InvalidInput`] for a zero `batch_size` or a NaN logit.
     pub fn evaluate<S: BatchSource + ?Sized>(
         &mut self,
         source: &S,
         batch_size: usize,
     ) -> Result<Evaluation, Error> {
-        assert!(batch_size > 0, "batch size must be positive");
+        check_batch_size(batch_size)?;
         let _pass = scnn_obs::span("nn/evaluate");
         let total = source.len();
         let batches: Vec<std::ops::Range<usize>> =
@@ -439,14 +434,15 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates layer shape and source errors.
+    /// Propagates layer shape and source errors; returns
+    /// [`Error::InvalidInput`] for a zero `batch_size` or a NaN logit.
     pub fn evaluate_pair<S: BatchSource + ?Sized>(
         a: &Network,
         b: &Network,
         source: &S,
         batch_size: usize,
     ) -> Result<(Evaluation, Evaluation), Error> {
-        assert!(batch_size > 0, "batch size must be positive");
+        check_batch_size(batch_size)?;
         let _pass = scnn_obs::span("nn/evaluate_pair");
         let total = source.len();
         let batches: Vec<std::ops::Range<usize>> =
@@ -513,18 +509,31 @@ fn count_correct(logits: &Tensor, labels: &[u8]) -> Result<usize, Error> {
     };
     let mut correct = 0usize;
     for (bi, &label) in labels.iter().enumerate().take(batch) {
-        let row = &logits.data()[bi * classes..(bi + 1) * classes];
-        let pred = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(i, _)| i)
-            .expect("at least one class");
-        if pred == usize::from(label) {
+        if argmax(&logits.data()[bi * classes..(bi + 1) * classes])? == usize::from(label) {
             correct += 1;
         }
     }
     Ok(correct)
+}
+
+/// Index of the largest logit of one `row` (the last one on ties).
+fn argmax(row: &[f32]) -> Result<usize, Error> {
+    if row.iter().any(|v| v.is_nan()) {
+        return Err(Error::invalid(format!("NaN logit in {row:?}")));
+    }
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(i, _)| i)
+        .ok_or_else(|| Error::invalid("logits with no classes"))
+}
+
+/// Rejects a zero batch size.
+fn check_batch_size(batch_size: usize) -> Result<(), Error> {
+    if batch_size == 0 {
+        return Err(Error::invalid("batch size must be positive"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -588,6 +597,39 @@ mod tests {
         let preds = net.predict(&x).unwrap();
         assert_eq!(preds.len(), labels.len());
         assert!(preds.iter().all(|&p| p < 2));
+    }
+
+    #[test]
+    fn nan_logits_are_errors_not_panics() {
+        let ds = xor_dataset();
+        let mut net = Network::new();
+        net.push(Dense::new(2, 2, 9));
+        let dense = net.layer_mut(0).unwrap().as_any_mut().downcast_mut::<Dense>().unwrap();
+        dense.weights_mut().data_mut()[0] = f32::NAN;
+        let (x, _) = ds.batch(&[1, 2]).unwrap();
+        let err = net.predict(&x).unwrap_err();
+        assert!(matches!(err, Error::InvalidInput { .. }), "{err}");
+        assert!(err.to_string().contains("NaN"), "{err}");
+        assert!(matches!(net.evaluate(&ds, 8), Err(Error::InvalidInput { .. })));
+        let other = net.clone();
+        let pair = Network::evaluate_pair(&net, &other, &ds, 8);
+        assert!(matches!(pair, Err(Error::InvalidInput { .. })));
+    }
+
+    #[test]
+    fn zero_batch_size_is_an_error() {
+        let ds = xor_dataset();
+        let mut net = Network::new();
+        net.push(Dense::new(2, 2, 9));
+        let mut opt = Sgd::new(0.1);
+        for result in [
+            net.evaluate(&ds, 0).map(|_| ()),
+            Network::evaluate_pair(&net.clone(), &net.clone(), &ds, 0).map(|_| ()),
+            net.train_epoch(&ds, 0, &mut opt, 1).map(|_| ()),
+        ] {
+            let err = result.unwrap_err();
+            assert!(err.to_string().contains("batch size"), "{err}");
+        }
     }
 
     #[test]

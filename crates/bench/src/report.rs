@@ -24,11 +24,30 @@ pub mod key {
     /// assert_eq!(key::bin_for("retrain_ablation", true), "bin/retrain_ablation+feature_cache");
     /// ```
     pub fn bin_for(name: &str, feature_cache_on: bool) -> String {
-        if feature_cache_on {
-            format!("bin/{name}+feature_cache")
-        } else {
-            format!("bin/{name}")
+        bin_with(name, if feature_cache_on { &["feature_cache"] } else { &[] })
+    }
+
+    /// The general rerun key: `bin/<name>` with one `+<suffix>` per
+    /// enabled rerun option, in the order given. Each option combination
+    /// gets its own key, so no rerun overwrites the baseline the perf gate
+    /// diffs against.
+    ///
+    /// ```
+    /// use scnn_bench::report::key;
+    ///
+    /// assert_eq!(key::bin_with("retrain_ablation", &[]), "bin/retrain_ablation");
+    /// assert_eq!(
+    ///     key::bin_with("retrain_ablation", &["feature_cache"]),
+    ///     "bin/retrain_ablation+feature_cache"
+    /// );
+    /// ```
+    pub fn bin_with(name: &str, suffixes: &[&str]) -> String {
+        let mut key = format!("bin/{name}");
+        for suffix in suffixes {
+            key.push('+');
+            key.push_str(suffix);
         }
+        key
     }
 
     /// [`bin_for`] with the suffix decided by the live `SCNN_FEATURE_CACHE`

@@ -327,8 +327,10 @@ mod tests {
     use crate::scenario::ScenarioSpec;
     use scnn_nn::data::synthetic;
 
+    // The `off`/`on`/budget grammar was first defined for the (since
+    // removed) window cache; the test keeps its original name.
     #[test]
-    fn mode_parses_the_env_grammar() {
+    fn mode_parses_the_window_cache_grammar() {
         assert_eq!(FeatureCacheMode::from_env_value("off").unwrap(), FeatureCacheMode::Off);
         assert_eq!(FeatureCacheMode::from_env_value("0").unwrap(), FeatureCacheMode::Off);
         assert_eq!(FeatureCacheMode::from_env_value("on").unwrap(), FeatureCacheMode::on());

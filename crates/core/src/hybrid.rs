@@ -286,6 +286,42 @@ mod tests {
     }
 
     #[test]
+    fn window_cache_stays_warm_across_dataset_extraction() {
+        // The stored all-zero-window outputs (a one-entry window cache,
+        // computed once at construction) serve every worker and every
+        // pass: on zero-background digits two extractions agree with each
+        // other and with pooled streaming-oracle maps.
+        use crate::ScenarioSpec;
+        use scnn_nn::data::Dataset;
+        use scnn_nn::layers::{Layer, MaxPool2d};
+
+        let cfg = LenetConfig::default();
+        let head_net = lenet5_head(&cfg).unwrap();
+        let conv = head_net.layer(0).unwrap().as_any().downcast_ref::<Conv2d>().unwrap().clone();
+        let noisy = synthetic::generate(10, 11);
+        let data: Vec<f32> = (0..noisy.len())
+            .flat_map(|i| noisy.item(i).iter().map(|&v| if v < 0.06 { 0.0 } else { v }))
+            .collect();
+        let zeros = data.iter().filter(|&&v| v == 0.0).count();
+        assert!(zeros * 2 > data.len(), "expected mostly dark background");
+        let ds = Dataset::new(data, noisy.item_shape(), noisy.labels().to_vec()).unwrap();
+        for spec in [ScenarioSpec::this_work(4), ScenarioSpec::old_sc(4)] {
+            let engine = spec.stochastic_conv(&conv).unwrap();
+            let oracle = engine.clone();
+            let hybrid = HybridLenet::new(Box::new(engine), lenet5_tail(&cfg).unwrap());
+            let first = hybrid.extract_features(&ds).unwrap();
+            let second = hybrid.extract_features(&ds).unwrap();
+            for i in 0..ds.len() {
+                let raw = oracle.forward_image_streaming(ds.item(i)).unwrap();
+                let maps = Tensor::from_vec(raw, &[1, 32, 28, 28]).unwrap();
+                let expect = MaxPool2d::new().forward(&maps, false).unwrap().into_vec();
+                assert_eq!(first.item(i), &expect[..], "{} image {i}", spec.label());
+                assert_eq!(second.item(i), &expect[..], "{} image {i}", spec.label());
+            }
+        }
+    }
+
+    #[test]
     fn classify_and_evaluate_agree() {
         let mut hybrid = make_hybrid();
         let ds = synthetic::generate(8, 5);

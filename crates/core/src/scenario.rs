@@ -409,6 +409,31 @@ mod tests {
     }
 
     #[test]
+    fn window_cache_round_trips_and_compiles() {
+        // The stored all-zero-window outputs (a one-entry window cache)
+        // need no spec field: every compile path of a fault-free spec —
+        // concrete engine, boxed first layer, and `from_conv` over the
+        // spec's own options — serves a zero-background frame exactly as
+        // the streaming oracle does.
+        let c = conv();
+        let mut img = vec![0.0f32; 784];
+        for p in [0, 27, 400, 783] {
+            img[p] = 0.9;
+        }
+        for spec in [ScenarioSpec::this_work(4), ScenarioSpec::old_sc(4)] {
+            let engine = spec.stochastic_conv(&c).unwrap();
+            let expect = engine.forward_image_streaming(&img).unwrap();
+            assert_eq!(engine.forward_image(&img).unwrap(), expect, "{}", spec.label());
+            let boxed = spec.first_layer(&c).unwrap();
+            assert_eq!(boxed.forward_image(&img).unwrap(), expect, "{}", spec.label());
+            let rebuilt =
+                StochasticConvLayer::from_conv(&c, spec.precision().unwrap(), spec.sc_options())
+                    .unwrap();
+            assert_eq!(rebuilt.forward_image(&img).unwrap(), expect, "{}", spec.label());
+        }
+    }
+
+    #[test]
     fn presets_compile_to_matching_engines() {
         let c = conv();
         for (spec, label) in [

@@ -233,8 +233,9 @@ pub struct StochasticConvLayer {
     level_streams: Arc<Mutex<LevelStreamCache>>,
     /// Per-kernel outputs of an all-level-0 window (see the type-level
     /// docs); `None` without the count table, under any fault model, or if
-    /// a level-0 table row is not all zero.
-    zero_window: Option<Vec<f32>>,
+    /// a level-0 table row is not all zero. Shared by clones: it is
+    /// computed once at construction and only read afterwards.
+    zero_window: Option<Arc<[f32]>>,
 }
 
 impl StochasticConvLayer {
@@ -558,7 +559,7 @@ impl StochasticConvLayer {
     /// The per-kernel outputs of an all-level-0 window, reduced once through
     /// the engine's own gather and reducer; `None` without the count table
     /// or if some level-0 table row is not all zero.
-    fn zero_window_outputs(&self) -> Result<Option<Vec<f32>>, Error> {
+    fn zero_window_outputs(&self) -> Result<Option<Arc<[f32]>>, Error> {
         match &self.lut {
             None => Ok(None),
             Some(AnyLevelCountTable::U16(lut)) => self.zero_window_typed(lut),
@@ -573,7 +574,7 @@ impl StochasticConvLayer {
     fn zero_window_typed<W: LaneWord>(
         &self,
         lut: &LevelCountTable<W>,
-    ) -> Result<Option<Vec<f32>>, Error> {
+    ) -> Result<Option<Arc<[f32]>>, Error> {
         if !lut.level_is_zero(0) {
             return Ok(None);
         }
@@ -1385,7 +1386,7 @@ mod tests {
             let engine = StochasticConvLayer::from_conv(&c, precision(4), opts).unwrap();
             let zero = engine.zero_window.as_ref().unwrap();
             let expect: Vec<f32> = (0..8).map(|k| [-1.0, 0.0, 1.0][k % 3]).collect();
-            assert_eq!(zero, &expect, "{policy:?}");
+            assert_eq!(zero[..], expect[..], "{policy:?}");
         }
     }
 
@@ -1438,6 +1439,109 @@ mod tests {
                 }
             }
         }
+    }
+
+    // The stored zero-window outputs are a one-entry window cache keyed on
+    // the all-level-0 window; the `window_cache_*` tests below pin that
+    // cache's contract: bit-exact hits, count-path only, shared by clones.
+
+    #[test]
+    fn window_cache_forward_is_bit_exact_and_counts_lookups() {
+        // One lit centre pixel and one lit corner pixel leave 25 + 9
+        // windows to fold; every other window copies the stored outputs.
+        let mut img = vec![0.0f32; 784];
+        img[14 * 28 + 14] = 0.8;
+        img[0] = 0.5;
+        for bits in [4u32, 6] {
+            let levels: Vec<usize> = img.iter().map(|&v| pixel_level(v, bits) as usize).collect();
+            let hits = zero_windows(&levels, 5).iter().filter(|&&z| z).count();
+            assert_eq!(hits, 784 - 25 - 9, "bits={bits}");
+            for preset in [ScOptions::this_work(), ScOptions::old_sc()] {
+                let ctx = format!("{:?} bits={bits}", preset.adder);
+                let engine =
+                    StochasticConvLayer::from_conv(&conv(), precision(bits), preset).unwrap();
+                let fast = engine.forward_image(&img).unwrap();
+                assert_eq!(fast, engine.forward_image_streaming(&img).unwrap(), "{ctx}");
+                // Folding every window on the same table gives the same
+                // bytes.
+                let mut full = engine.clone();
+                full.zero_window = None;
+                assert_eq!(full.forward_image(&img).unwrap(), fast, "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_cache_is_bit_exact_under_eviction_churn() {
+        // Lit pixels on every 6th row and column: along a row the loop
+        // keeps switching between the stored outputs and full folds, so
+        // the two paths interleave through one image and one scratch pair.
+        let mut img = vec![0.0f32; 784];
+        for y in (3..28).step_by(6) {
+            for x in (3..28).step_by(6) {
+                img[y * 28 + x] = ((y * x) % 7 + 1) as f32 / 8.0;
+            }
+        }
+        let levels: Vec<usize> = img.iter().map(|&v| pixel_level(v, 6) as usize).collect();
+        let flags = zero_windows(&levels, 5);
+        let switches = flags.windows(2).filter(|w| w[0] != w[1]).count();
+        assert!(switches > 100, "only {switches} path switches");
+        for preset in [ScOptions::this_work(), ScOptions::old_sc()] {
+            let reference = StochasticConvLayer::from_conv(&conv(), precision(6), preset)
+                .unwrap()
+                .forward_image_streaming(&img)
+                .unwrap();
+            for width in [LaneWidth::U16, LaneWidth::U32, LaneWidth::U64, LaneWidth::U128] {
+                let opts = ScOptions { lane_width: width, ..preset };
+                let engine = StochasticConvLayer::from_conv(&conv(), precision(6), opts).unwrap();
+                assert!(engine.zero_window.is_some());
+                let got = engine.forward_image(&img).unwrap();
+                assert_eq!(got, reference, "{:?} width={width}", preset.adder);
+            }
+        }
+    }
+
+    #[test]
+    fn window_cache_requires_the_count_path() {
+        for preset in [ScOptions::this_work(), ScOptions::old_sc()] {
+            let adder = preset.adder;
+            // 15-bit streams overflow the 16-bit lanes: no table, no
+            // stored outputs.
+            let wide = StochasticConvLayer::from_conv(&conv(), precision(15), preset).unwrap();
+            assert!(!wide.uses_count_table(), "{adder:?}");
+            assert!(wide.zero_window.is_none(), "{adder:?}");
+            // A zero bit-error rate is the healthy model and keeps them.
+            for fault in [FaultModel::None, FaultModel::BitError(0.0)] {
+                let opts = ScOptions { fault, ..preset };
+                let engine = StochasticConvLayer::from_conv(&conv(), precision(4), opts).unwrap();
+                assert!(engine.zero_window.is_some(), "{adder:?} {fault:?}");
+            }
+            // A faulted engine keeps the table but always folds.
+            let noisy = ScOptions { fault: FaultModel::BitError(0.01), ..preset };
+            let engine = StochasticConvLayer::from_conv(&conv(), precision(4), noisy).unwrap();
+            assert!(engine.uses_count_table(), "{adder:?}");
+            assert!(engine.zero_window.is_none(), "{adder:?}");
+        }
+        let site = FaultSite::AdderNode { node: 30 };
+        let stuck = ScOptions {
+            fault: FaultModel::StuckAt { site, value: true },
+            ..ScOptions::this_work()
+        };
+        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), stuck).unwrap();
+        assert!(engine.uses_count_table());
+        assert!(engine.zero_window.is_none());
+    }
+
+    #[test]
+    fn clones_share_one_window_cache() {
+        let engine =
+            StochasticConvLayer::from_conv(&conv(), precision(4), ScOptions::this_work()).unwrap();
+        let clone = engine.clone();
+        let (a, b) = (engine.zero_window.as_ref().unwrap(), clone.zero_window.as_ref().unwrap());
+        assert!(Arc::ptr_eq(a, b), "a clone must not recompute the stored outputs");
+        let mut img = vec![0.0f32; 784];
+        img[100] = 0.7;
+        assert_eq!(clone.forward_image(&img).unwrap(), engine.forward_image(&img).unwrap());
     }
 
     #[test]

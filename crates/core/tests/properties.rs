@@ -485,6 +485,43 @@ proptest! {
         }
     }
 
+    /// The stored all-zero-window outputs — a one-entry window cache — are
+    /// bit-exact with the streaming reference at every precision and lane
+    /// width, on both adders. Three images flow through one engine, a
+    /// blank frame (every window hits), a zero-background frame (hits and
+    /// full folds interleave) and a noisy frame (almost no hits), so no
+    /// image's path can leak into the next.
+    #[test]
+    fn window_cache_forward_is_bit_exact(
+        seed in 0u64..2_000,
+        bits in prop_oneof![Just(4u32), Just(6), Just(8)],
+        width in prop_oneof![
+            Just(LaneWidth::Auto),
+            Just(LaneWidth::U16),
+            Just(LaneWidth::U32),
+            Just(LaneWidth::U64),
+            Just(LaneWidth::U128)
+        ],
+        mux in any::<bool>(),
+    ) {
+        let conv = small_conv(seed % 31 + 1);
+        let preset = if mux { ScOptions::old_sc() } else { ScOptions::this_work() };
+        let options = ScOptions { lane_width: width, seed, ..preset };
+        let engine =
+            StochasticConvLayer::from_conv(&conv, Precision::new(bits).unwrap(), options).unwrap();
+        prop_assert!(engine.uses_count_table());
+        let noisy = image_from_seed(seed ^ 0xACE0);
+        let sparse: Vec<f32> =
+            noisy.iter().map(|&v| if v < 0.97 { 0.0 } else { v }).collect();
+        for (name, image) in [("blank", vec![0.0f32; 784]), ("sparse", sparse), ("noisy", noisy)] {
+            prop_assert_eq!(
+                engine.forward_image(&image).unwrap(),
+                engine.forward_image_streaming(&image).unwrap(),
+                "{} bits={} width={} mux={}", name, bits, width, mux
+            );
+        }
+    }
+
     /// The all-zero-window shortcut is bit-exact: zero-background frames
     /// with a few lit pixels — corners and edges included, so border
     /// windows both take and miss the shortcut — and some dim pixels that

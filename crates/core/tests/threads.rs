@@ -62,6 +62,47 @@ fn parallel_evaluation_identical_for_any_thread_count() {
     assert_eq!(serial, parallel);
 }
 
+/// The stored all-zero-window outputs — a one-entry window cache, computed
+/// once at construction and only read afterwards — must be invisible to
+/// the output for every worker-thread count: on zero-background digits,
+/// where roughly half the windows take the shortcut, the features are
+/// byte-identical for `SCNN_THREADS=1` and `4`, on both adders.
+#[test]
+fn window_cache_identical_across_thread_counts() {
+    use scnn_nn::data::{synthetic, Dataset};
+    use scnn_nn::lenet::{lenet5_tail, LenetConfig};
+
+    let _env = ENV_LOCK.lock().unwrap();
+    let cfg = LenetConfig::default();
+    let conv = Conv2d::new(1, 32, 5, Padding::Same, 29).unwrap();
+    let precision = Precision::new(4).unwrap();
+    let noisy = synthetic::generate(8, 5);
+    let data: Vec<f32> = (0..noisy.len())
+        .flat_map(|i| noisy.item(i).iter().map(|&v| if v < 0.06 { 0.0 } else { v }))
+        .collect();
+    let dataset = Dataset::new(data, noisy.item_shape(), noisy.labels().to_vec()).unwrap();
+    for options in [ScOptions::this_work(), ScOptions::old_sc()] {
+        let engine = StochasticConvLayer::from_conv(&conv, precision, options).unwrap();
+        let hybrid = HybridLenet::new(Box::new(engine), lenet5_tail(&cfg).unwrap());
+        let run = |threads: &str| {
+            std::env::set_var(scnn_core::parallel::THREADS_ENV, threads);
+            let features = hybrid.extract_features(&dataset).unwrap();
+            std::env::remove_var(scnn_core::parallel::THREADS_ENV);
+            features
+        };
+        let reference = run("1");
+        let features = run("4");
+        for i in 0..reference.len() {
+            let (a, b) = (reference.item(i), features.item(i));
+            assert!(
+                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{:?}: features differ at item {i}",
+                options.adder
+            );
+        }
+    }
+}
+
 /// Count-domain fault injection is seeded per `(spec.seed, image_index,
 /// pixel)`, never per worker: the faulted feature bytes must be identical
 /// for every `SCNN_THREADS` value, even though different thread counts

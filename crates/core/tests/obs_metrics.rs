@@ -52,6 +52,9 @@ const DETERMINISTIC_KEYS: &[&str] = &[
     "stage/conv/fold/count",
     "stage/core/extract_features/count",
     "stage/nn/evaluate/count",
+    "stage/nn/forward/count",
+    "stage/conv2d/count",
+    "stage/dense/count",
 ];
 
 #[test]
@@ -82,6 +85,12 @@ fn counter_totals_identical_for_1_and_8_threads() {
         assert_eq!(baseline.get("conv/images"), Some(&(2.0 * images_f)));
         assert_eq!(baseline.get("stage/conv/forward/count"), Some(&(2.0 * images_f)));
         assert_eq!(baseline.get("nn/images_evaluated"), Some(&images_f));
+        // One tail forward per evaluation batch of 4, with a span per
+        // layer; the tail's two dense layers share the `dense` key.
+        let batches = images.div_ceil(4) as f64;
+        assert_eq!(baseline.get("stage/nn/forward/count"), Some(&batches));
+        assert_eq!(baseline.get("stage/conv2d/count"), Some(&batches));
+        assert_eq!(baseline.get("stage/dense/count"), Some(&(2.0 * batches)));
     }
 
     scnn_obs::force(false, false);

@@ -4,6 +4,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
 
+/// Output channels per accumulator tile of the forward kernel: 32 `f32`
+/// accumulators stay in registers across a window's whole reduction.
+const TILE: usize = 32;
+
 /// Spatial padding mode for [`Conv2d`] (stride is always 1, as in the
 /// paper's first layer where all 784 windows are evaluated in parallel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -15,8 +19,20 @@ pub enum Padding {
     Valid,
 }
 
-/// A 2-D convolution layer over `[batch, channels, height, width]` tensors,
-/// implemented as im2col + matmul.
+/// A 2-D convolution layer over `[batch, channels, height, width]` tensors.
+///
+/// The forward pass is a direct kernel: the filters are packed once per call
+/// into `[c·k·k, 32]` panels, one per tile of 32 output channels, and each
+/// output position accumulates its 32 channels in a fixed-size register
+/// tile, reading the input window straight from the (zero-padded) image.
+/// Each output is `+0.0 + Σ w·x` summed in ascending `(c, ki, kj)` order,
+/// plus the bias — the same sum, term for term, as im2col followed by
+/// [`Tensor::matmul`], so the two give byte-identical outputs for finite
+/// inputs. The one difference: `matmul` skips exactly-zero weights, so a
+/// NaN or ∞ input under a zero weight was masked there and propagates here.
+///
+/// The backward pass rebuilds each image's im2col columns from the cached
+/// input and uses `matmul` for the weight and input gradients.
 ///
 /// # Example
 ///
@@ -43,8 +59,7 @@ pub struct Conv2d {
     b: Tensor,
     dw: Tensor,
     db: Tensor,
-    cols_cache: Vec<Tensor>,
-    input_shape_cache: Option<Vec<usize>>,
+    input_cache: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -92,8 +107,7 @@ impl Conv2d {
             b: Tensor::zeros(&[out_channels]),
             dw: Tensor::zeros(&[out_channels, fan_in]),
             db: Tensor::zeros(&[out_channels]),
-            cols_cache: Vec::new(),
-            input_shape_cache: None,
+            input_cache: None,
         })
     }
 
@@ -158,6 +172,25 @@ impl Conv2d {
             (Some(oh), Some(ow)) if oh > 0 && ow > 0 => Ok((oh, ow)),
             _ => Err(Error::shape(format!("input at least {0}×{0}", self.kernel), &[h, w])),
         }
+    }
+
+    /// The filters as `[tiles, c·k·k, TILE]` panels: tile `t` holds output
+    /// channels `t·TILE..(t+1)·TILE`, zero-filled past `out_channels`, each
+    /// row one `(c, ki, kj)` tap. Written row by row (sequential writes).
+    fn panels(&self) -> Vec<f32> {
+        let kk = self.w.shape()[1];
+        let tiles = self.out_channels.div_ceil(TILE);
+        let mut panels = vec![0.0f32; tiles * kk * TILE];
+        for (t, panel) in panels.chunks_exact_mut(kk * TILE).enumerate() {
+            let channels = TILE.min(self.out_channels - t * TILE);
+            let w = &self.w.data()[t * TILE * kk..][..channels * kk];
+            for (tap, row) in panel.chunks_exact_mut(TILE).enumerate() {
+                for (dst, filter) in row.iter_mut().zip(w.chunks_exact(kk)) {
+                    *dst = filter[tap];
+                }
+            }
+        }
+        panels
     }
 
     /// im2col for one image `[C, H, W] → [C·k·k, oh·ow]`.
@@ -236,37 +269,64 @@ impl Layer for Conv2d {
             ));
         }
         let (oh, ow) = self.output_size(h, w)?;
-        let patch = oh * ow;
-        let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
-        if training {
-            self.cols_cache.clear();
-            self.input_shape_cache = Some(input.shape().to_vec());
-        }
-        for bi in 0..batch {
-            let img = &input.data()[bi * c * h * w..(bi + 1) * c * h * w];
-            let cols = self.im2col(img, h, w, oh, ow);
-            let prod = self.w.matmul(&cols)?;
-            let dst =
-                &mut out.data_mut()[bi * self.out_channels * patch..][..self.out_channels * patch];
-            for oc in 0..self.out_channels {
-                let bias = self.b.data()[oc];
-                let src = &prod.data()[oc * patch..(oc + 1) * patch];
-                let d = &mut dst[oc * patch..(oc + 1) * patch];
-                for (o, &v) in d.iter_mut().zip(src) {
-                    *o = v + bias;
+        let (k, oc, patch) = (self.kernel, self.out_channels, oh * ow);
+        let kk = c * k * k;
+        let panels = self.panels();
+        let p = self.pad();
+        let (ph, pw) = (h + 2 * p, w + 2 * p);
+        let mut padded = vec![0.0f32; if p > 0 { c * ph * pw } else { 0 }];
+        // Offset of each (c, ki, kj) tap from a window's top-left corner.
+        let taps: Vec<usize> = (0..c)
+            .flat_map(|ci| {
+                (0..k).flat_map(move |ki| (0..k).map(move |kj| (ci * ph + ki) * pw + kj))
+            })
+            .collect();
+        let mut out = Tensor::zeros(&[batch, oc, oh, ow]);
+        for (img, dst) in
+            input.data().chunks_exact(c * h * w).zip(out.data_mut().chunks_exact_mut(oc * patch))
+        {
+            let src = if p > 0 {
+                for (row, line) in img.chunks_exact(w).enumerate() {
+                    let (ci, y) = (row / h, row % h);
+                    padded[(ci * ph + y + p) * pw + p..][..w].copy_from_slice(line);
+                }
+                &padded[..]
+            } else {
+                img
+            };
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let window = &src[oy * pw + ox..];
+                    for (t, panel) in panels.chunks_exact(kk * TILE).enumerate() {
+                        let mut acc = [0.0f32; TILE];
+                        for (&tap, row) in taps.iter().zip(panel.chunks_exact(TILE)) {
+                            let x = window[tap];
+                            let row: &[f32; TILE] =
+                                row.try_into().expect("panel rows are TILE wide");
+                            for (a, &wv) in acc.iter_mut().zip(row) {
+                                *a += x * wv;
+                            }
+                        }
+                        let channels = TILE.min(oc - t * TILE);
+                        for (j, &a) in acc[..channels].iter().enumerate() {
+                            let o = t * TILE + j;
+                            dst[o * patch + oy * ow + ox] = a + self.b.data()[o];
+                        }
+                    }
                 }
             }
-            if training {
-                self.cols_cache.push(cols);
-            }
+        }
+        if training {
+            self.input_cache = Some(input.clone());
         }
         Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, Error> {
-        let shape = self.input_shape_cache.clone().ok_or_else(|| {
+        let input = self.input_cache.as_ref().ok_or_else(|| {
             Error::shape("forward(training=true) before backward", grad_output.shape())
         })?;
+        let shape = input.shape();
         let (batch, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let (oh, ow) = self.output_size(h, w)?;
         let patch = oh * ow;
@@ -276,7 +336,7 @@ impl Layer for Conv2d {
                 grad_output.shape(),
             ));
         }
-        let mut dinput = Tensor::zeros(&shape);
+        let mut dinput = Tensor::zeros(input.shape());
         let wt = self.w.transposed();
         for bi in 0..batch {
             let g = Tensor::from_vec(
@@ -284,7 +344,7 @@ impl Layer for Conv2d {
                     .to_vec(),
                 &[self.out_channels, patch],
             )?;
-            let cols = &self.cols_cache[bi];
+            let cols = self.im2col(&input.data()[bi * c * h * w..][..c * h * w], h, w, oh, ow);
             self.dw.add_scaled(&g.matmul(&cols.transposed())?, 1.0);
             for oc in 0..self.out_channels {
                 let s: f32 = g.data()[oc * patch..(oc + 1) * patch].iter().sum();

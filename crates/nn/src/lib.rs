@@ -6,7 +6,7 @@
 //! of it from scratch:
 //!
 //! * [`Tensor`] — a flat `f32` n-d array with the handful of kernels the
-//!   layers need (blocked matmul, transpose, elementwise ops),
+//!   layers need (a plain i-k-j matmul, transpose, elementwise ops),
 //! * [`layers`] — `Conv2d`, `MaxPool2d`, `Dense`, `Flatten`, `Relu`,
 //!   [`layers::Sign`] (the paper's ternary first-layer activation, trained
 //!   with a straight-through estimator), `Dropout`,

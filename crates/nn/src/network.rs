@@ -115,27 +115,34 @@ impl Network {
         self.layers.get_mut(index).map(AsMut::as_mut)
     }
 
-    /// Runs the input through every layer.
+    /// Runs the input through every layer, each under an `nn/forward`
+    /// child span named after the layer kind (`nn/forward/conv2d` when
+    /// tracing; layers of one kind share a key).
     ///
     /// # Errors
     ///
     /// Propagates the first layer shape error.
     pub fn forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor, Error> {
+        let _forward = scnn_obs::span("nn/forward");
         let mut x = input.clone();
         for layer in &mut self.layers {
+            let _layer = scnn_obs::span(layer.name());
             x = layer.forward(&x, training)?;
         }
         Ok(x)
     }
 
-    /// Backpropagates a loss gradient, accumulating parameter gradients.
+    /// Backpropagates a loss gradient, accumulating parameter gradients;
+    /// spans as in [`forward`](Self::forward), under `nn/backward`.
     ///
     /// # Errors
     ///
     /// Propagates layer shape errors (e.g. backward before forward).
     pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor, Error> {
+        let _backward = scnn_obs::span("nn/backward");
         let mut g = grad.clone();
         for layer in self.layers.iter_mut().rev() {
+            let _layer = scnn_obs::span(layer.name());
             g = layer.backward(&g)?;
         }
         Ok(g)
@@ -309,10 +316,7 @@ impl Network {
                 worker.zero_grads();
                 let logits = worker.forward(&x, true)?;
                 let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
-                {
-                    let _bwd = scnn_obs::span("nn/backward");
-                    worker.backward(&grad)?;
-                }
+                worker.backward(&grad)?;
                 let mut flat = Vec::new();
                 worker.visit_all_params(&mut |_, g| flat.extend_from_slice(g.data()));
                 Ok((flat, loss, shard.len()))

@@ -56,6 +56,117 @@ fn train_fingerprint(
     (weights, losses)
 }
 
+/// Reference `Conv2d`: the im2col + [`Tensor::matmul`] formulation, forward
+/// and backward, kept here so the direct forward kernel is checked against
+/// it byte for byte.
+mod reference {
+    use scnn_nn::layers::{Conv2d, Padding};
+    use scnn_nn::Tensor;
+
+    /// `(kernel, pad)` of `conv`.
+    fn geometry(conv: &Conv2d) -> (usize, isize) {
+        let k = conv.kernel();
+        let p = if conv.padding() == Padding::Same { (k - 1) / 2 } else { 0 };
+        (k, p as isize)
+    }
+
+    /// im2col of one `[C, H, W]` image into `[C·k·k, oh·ow]`.
+    pub fn im2col(conv: &Conv2d, img: &[f32], h: usize, w: usize) -> Tensor {
+        let (k, p) = geometry(conv);
+        let (oh, ow) = conv.output_size(h, w).unwrap();
+        let c = conv.in_channels();
+        let mut cols = vec![0.0f32; c * k * k * oh * ow];
+        for ci in 0..c {
+            for ki in 0..k {
+                for kj in 0..k {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let iy = oy as isize + ki as isize - p;
+                            let ix = ox as isize + kj as isize - p;
+                            if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                                cols[((ci * k + ki) * k + kj) * oh * ow + oy * ow + ox] =
+                                    img[(ci * h + iy as usize) * w + ix as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(cols, &[c * k * k, oh * ow]).unwrap()
+    }
+
+    /// Forward: per image, `w · im2col(x)` plus the bias.
+    pub fn forward(conv: &Conv2d, x: &Tensor) -> Tensor {
+        let &[batch, c, h, w] = x.shape() else { panic!("4-d input") };
+        let (oh, ow) = conv.output_size(h, w).unwrap();
+        let oc = conv.out_channels();
+        let mut out = Vec::new();
+        for img in x.data().chunks_exact(c * h * w).take(batch) {
+            let prod = conv.weights().matmul(&im2col(conv, img, h, w)).unwrap();
+            for (o, plane) in prod.data().chunks_exact(oh * ow).enumerate() {
+                out.extend(plane.iter().map(|&v| v + conv.bias().data()[o]));
+            }
+        }
+        Tensor::from_vec(out, &[batch, oc, oh, ow]).unwrap()
+    }
+
+    /// Backward from zeroed gradients: `(dw, db, dinput)`.
+    pub fn backward(conv: &Conv2d, x: &Tensor, g: &Tensor) -> (Tensor, Tensor, Tensor) {
+        let &[_, c, h, w] = x.shape() else { panic!("4-d input") };
+        let (k, p) = geometry(conv);
+        let (oh, ow) = conv.output_size(h, w).unwrap();
+        let oc = conv.out_channels();
+        let mut dw = Tensor::zeros(conv.weights().shape());
+        let mut db = Tensor::zeros(&[oc]);
+        let mut dinput = Tensor::zeros(x.shape());
+        let wt = conv.weights().transposed();
+        let images = x.data().chunks_exact(c * h * w);
+        let grads = g.data().chunks_exact(oc * oh * ow);
+        let dimgs = dinput.data_mut().chunks_exact_mut(c * h * w);
+        for ((img, gi), dimg) in images.zip(grads).zip(dimgs) {
+            let g = Tensor::from_vec(gi.to_vec(), &[oc, oh * ow]).unwrap();
+            let cols = im2col(conv, img, h, w);
+            dw.add_scaled(&g.matmul(&cols.transposed()).unwrap(), 1.0);
+            for (o, plane) in gi.chunks_exact(oh * ow).enumerate() {
+                let s: f32 = plane.iter().sum();
+                db.data_mut()[o] += s;
+            }
+            let dcols = wt.matmul(&g).unwrap();
+            for ci in 0..c {
+                for ki in 0..k {
+                    for kj in 0..k {
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let iy = oy as isize + ki as isize - p;
+                                let ix = ox as isize + kj as isize - p;
+                                if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                                    dimg[(ci * h + iy as usize) * w + ix as usize] += dcols.data()
+                                        [((ci * k + ki) * k + kj) * oh * ow + oy * ow + ox];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (dw, db, dinput)
+    }
+}
+
+/// SplitMix64 stream: deterministic test values from a seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Bit patterns of a tensor, for byte-identity assertions.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     /// Evaluating over a streaming `ChunkLoader` is byte-identical with
     /// evaluating the materialized `Dataset` it mirrors, for every batch
@@ -159,6 +270,62 @@ proptest! {
         from_dataset.visit_all_params(&mut |p, _| wa.extend_from_slice(p.data()));
         from_stream.visit_all_params(&mut |p, _| wb.extend_from_slice(p.data()));
         prop_assert_eq!(wa, wb);
+    }
+
+    /// The direct `Conv2d` forward kernel is byte-identical with im2col +
+    /// `Tensor::matmul`, in both training modes, and the gradients after
+    /// `backward` (which rebuilds the columns from the cached input) are
+    /// byte-identical with the reference backward. Covers output-channel
+    /// counts below, at, between and above multiples of the 32-channel
+    /// tile, both paddings, ternary and real inputs, and exactly-zero
+    /// weights.
+    #[test]
+    fn conv_matches_im2col_matmul_reference(
+        in_c in 1usize..=5,
+        out_c in 1usize..=70,
+        kernel_pick in 0usize..3,
+        same in any::<bool>(),
+        side in 1usize..=16,
+        batch in 1usize..=3,
+        ternary in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let k = [1, 3, 5][kernel_pick];
+        let side = side.max(k);
+        let padding = if same { Padding::Same } else { Padding::Valid };
+        let mut conv = Conv2d::new(in_c, out_c, k, padding, seed).unwrap();
+        let mut state = seed;
+        for w in conv.weights_mut().data_mut() {
+            if splitmix(&mut state).is_multiple_of(4) {
+                *w = 0.0;
+            }
+        }
+        for b in conv.bias_mut().data_mut() {
+            *b = (splitmix(&mut state) % 2001) as f32 / 1000.0 - 1.0;
+        }
+        let value = |state: &mut u64| {
+            let r = splitmix(state);
+            if ternary { (r % 3) as f32 - 1.0 } else { (r % 20001) as f32 / 10000.0 - 1.0 }
+        };
+        let x_data = (0..batch * in_c * side * side).map(|_| value(&mut state)).collect();
+        let x = Tensor::from_vec(x_data, &[batch, in_c, side, side]).unwrap();
+
+        let expected = reference::forward(&conv, &x);
+        let inference = conv.clone().forward(&x, false).unwrap();
+        prop_assert_eq!(inference.shape(), expected.shape());
+        prop_assert_eq!(bits(&inference), bits(&expected));
+        let training = conv.forward(&x, true).unwrap();
+        prop_assert_eq!(bits(&training), bits(&expected));
+
+        let g_data = (0..expected.len()).map(|_| value(&mut state)).collect();
+        let g = Tensor::from_vec(g_data, expected.shape()).unwrap();
+        let (dw, db, dinput) = reference::backward(&conv, &x, &g);
+        let got_dinput = conv.backward(&g).unwrap();
+        prop_assert_eq!(bits(&got_dinput), bits(&dinput));
+        let mut grads = Vec::new();
+        conv.visit_params(&mut |_, grad| grads.push(bits(grad)));
+        prop_assert_eq!(&grads[0], &bits(&dw));
+        prop_assert_eq!(&grads[1], &bits(&db));
     }
 
     /// Conv2d is linear: conv(a·x) == a·conv(x) (bias removed).
